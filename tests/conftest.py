@@ -16,6 +16,8 @@ from repro.storage.flash import FlashGeometry, NandFlash
 
 
 SMALL_VOCAB = VocabularyConfig(n_nav_topics=300, n_non_nav_topics=400, seed=7)
+SMALL_POPULATION = PopulationConfig(n_users=150, seed=11)
+SMALL_LOG_CONFIG = GeneratorConfig(months=2, seed=23)
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +32,7 @@ def small_community(small_vocabulary):
 
 @pytest.fixture(scope="session")
 def small_population():
-    return UserPopulation.build(PopulationConfig(n_users=150, seed=11))
+    return UserPopulation.build(SMALL_POPULATION)
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +40,7 @@ def small_log(small_community, small_population):
     return generate_logs(
         community=small_community,
         population=small_population,
-        config=GeneratorConfig(months=2, seed=23),
+        config=SMALL_LOG_CONFIG,
     )
 
 
