@@ -8,17 +8,18 @@ replay hot paths pay nothing unless a caller opts in:
   no-op singleton until :func:`repro.obs.trace.enable` installs a real
   recorder.
 * :mod:`repro.obs.registry` — named counters, gauges, and
-  bounded-memory streaming histograms (reservoir + P² quantiles), so
+  bounded-memory streaming histograms (reservoir sampling), so
   million-query replays can compute percentiles without retaining every
-  outcome object.
+  outcome object, plus the one nearest-rank percentile rule.
 * :mod:`repro.obs.manifest` — machine-readable run manifests (seed,
   config, git SHA, wall time, peak RSS) for experiments and benchmarks.
 
 The v2 telemetry plane (always-on for the serving stack) adds:
 
-* :mod:`repro.obs.timeseries` — fixed-width ring-buffered windowed
-  counters/gauges/histograms plus slow-request exemplars, deterministic
-  under the virtual clock;
+* :mod:`repro.obs.timeseries` — one fixed-width bucket ring: each
+  completed request reduced once to a record and folded into one
+  per-bucket aggregate of every serve series (counts, samples, joules,
+  slow-request exemplars), deterministic under the virtual clock;
 * :mod:`repro.obs.slo` — good-fraction SLO rules with multi-window
   burn-rate alerting and machine-readable verdicts;
 * :mod:`repro.obs.exposition` — Prometheus text + JSON rendering and an
@@ -42,18 +43,12 @@ from repro.obs.registry import (
     Counter,
     Gauge,
     MetricsRegistry,
-    P2Quantile,
     StreamingHistogram,
     get_registry,
+    nearest_rank,
 )
 from repro.obs.slo import SLOAlert, SLOMonitor, SLOPolicy, SLORule
-from repro.obs.timeseries import (
-    ExemplarRing,
-    TimeSeriesRegistry,
-    WindowedCounter,
-    WindowedGauge,
-    WindowedHistogram,
-)
+from repro.obs.timeseries import BucketRing, RequestRecord, ServeBucket
 from repro.obs.trace import (
     Segment,
     TraceContext,
@@ -65,33 +60,31 @@ from repro.obs.trace import (
 )
 
 __all__ = [
+    "BucketRing",
     "Counter",
     "ENERGY_COMPONENTS",
     "EnergyBreakdown",
     "EnergyLedger",
     "EnergyWindows",
-    "ExemplarRing",
     "Gauge",
     "MetricsRegistry",
-    "P2Quantile",
+    "RequestRecord",
     "RunManifest",
     "SLOAlert",
     "SLOMonitor",
     "SLOPolicy",
     "SLORule",
     "Segment",
+    "ServeBucket",
     "StreamingHistogram",
-    "TimeSeriesRegistry",
     "TraceContext",
     "Tracer",
-    "WindowedCounter",
-    "WindowedGauge",
-    "WindowedHistogram",
     "collect_manifest",
     "disable",
     "enable",
     "get_registry",
     "get_tracer",
+    "nearest_rank",
     "set_tracer",
     "split_shared_radio",
 ]

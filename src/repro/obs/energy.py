@@ -22,10 +22,10 @@ gives the serving stack the same machinery for joules that
   total radio joules attributed across responses versus total radio
   joules the simulated timeline actually spent.  Any drift between the
   two is an accounting bug, not noise.
-* :class:`EnergyWindows` — windowed energy telemetry over a
-  :class:`~repro.obs.timeseries.TimeSeriesRegistry`: joules/query
-  percentiles, watts by service source, and the live hit-vs-miss energy
-  ratio (the online Figure 15b).
+* :class:`EnergyWindows` — windowed energy telemetry over the serve
+  bucket ring (:mod:`repro.obs.timeseries`): joules/query percentiles,
+  watts by service source, and the live hit-vs-miss energy ratio (the
+  online Figure 15b).
 
 Everything here is pure bookkeeping over caller-supplied floats and
 timestamps — no radio model, no clocks — so it sits at the bottom of the
@@ -35,9 +35,14 @@ import ladder next to the rest of :mod:`repro.obs`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.obs.timeseries import TimeSeriesRegistry, WindowedCounter
+from repro.obs.timeseries import (
+    BucketRing,
+    RequestRecord,
+    window_mean,
+    window_quantile,
+)
 
 __all__ = [
     "ENERGY_COMPONENTS",
@@ -205,76 +210,58 @@ class EnergyLedger:
 
 
 class EnergyWindows:
-    """Windowed energy telemetry over a shared bucket geometry.
+    """Windowed energy telemetry over the serve bucket ring.
 
-    One instance rides inside the serve telemetry plane; feed it every
-    completed response via :meth:`on_request` and read the rolling view
-    with :meth:`rolling` / :meth:`per_bucket` / :meth:`snapshot`.
+    One instance rides inside the serve telemetry plane, reading the
+    energy series of its :class:`~repro.obs.timeseries.ServeBucket`
+    ring.  Feed it every attributed :class:`~repro.obs.timeseries.RequestRecord`
+    via :meth:`on_request` (the conservation ledger and the source
+    names) and read the rolling view with :meth:`rolling` /
+    :meth:`per_bucket` / :meth:`snapshot`.
     """
 
-    def __init__(self, registry: TimeSeriesRegistry) -> None:
-        self._registry = registry
-        self._energy = registry.histogram("serve.energy_j")
-        self._hit_energy = registry.histogram("serve.hit_energy_j")
-        self._miss_energy = registry.histogram("serve.miss_energy_j")
-        self._total = registry.counter("serve.energy_j_total")
-        self._by_source: Dict[str, WindowedCounter] = {}
+    def __init__(self, ring: BucketRing) -> None:
+        self._ring = ring
+        #: every service source seen, including ones aged out of the window
+        self._sources: Set[str] = set()
         self.ledger = EnergyLedger()
 
-    def on_request(
-        self,
-        t: float,
-        source: str,
-        hit: bool,
-        breakdown: EnergyBreakdown,
-        timeline_j: float,
-    ) -> None:
-        """Record one attributed response.
-
-        Args:
-            t: loop-clock completion time.
-            source: service source label (``"cache"``, ``"3g"``, ...).
-            hit: whether the request hit the cache.
-            breakdown: the response's attributed energy breakdown.
-            timeline_j: simulated radio-timeline energy this response is
-                responsible for reporting (the full fetch for a
-                leader/solo fetch, 0.0 for riders).
-        """
-        total = breakdown.total_j
-        self._energy.observe(t, total)
-        (self._hit_energy if hit else self._miss_energy).observe(t, total)
-        self._total.inc(t, total)
-        counter = self._by_source.get(source)
-        if counter is None:
-            counter = self._registry.counter("serve.energy_j." + source)
-            self._by_source[source] = counter
-        counter.inc(t, total)
-        self.ledger.add(breakdown.radio_j, timeline_j)
+    def on_request(self, record: RequestRecord) -> None:
+        """Record one attributed response: its radio joules against the
+        simulated radio-timeline joules it reports (the full fetch for a
+        leader/solo fetch, 0.0 for riders)."""
+        self._sources.add(record.source)
+        self.ledger.add(record.radio_j, record.timeline_j)
 
     # -- read side -----------------------------------------------------------
 
     def rolling(self, t: float) -> Dict[str, Any]:
         """Headline rolling energy stats over the window ending at ``t``."""
-        hit_mean = self._hit_energy.mean(t)
-        miss_mean = self._miss_energy.mean(t)
+        buckets = [b for _, b in self._ring.live(t)]
+        window_s = self._ring.window_s
+        hit_mean, hit_n = _side_mean(b.hit_energy for b in buckets)
+        miss_mean, miss_n = _side_mean(b.miss_energy for b in buckets)
         ratio = float("nan")
-        if self._hit_energy.count(t) and self._miss_energy.count(t) and hit_mean:
+        if hit_n and miss_n and hit_mean:
             ratio = miss_mean / hit_mean
+        sources = {}
+        for name in sorted(self._sources):
+            joules = sum(
+                b.energy_by_source[name]
+                for b in buckets
+                if name in b.energy_by_source
+            )
+            sources[name] = {"energy_j": joules, "power_w": joules / window_s}
+        energy = [b.energy for b in buckets]
         return {
-            "energy_j_per_query": self._energy.mean(t),
-            "energy_j_p50": self._energy.quantile(t, 50),
-            "energy_j_p99": self._energy.quantile(t, 99),
-            "power_w": self._total.rate(t),
+            "energy_j_per_query": window_mean(energy),
+            "energy_j_p50": window_quantile(energy, 50),
+            "energy_j_p99": window_quantile(energy, 99),
+            "power_w": sum(s.total for s in energy if s.count) / window_s,
             "hit_energy_j": hit_mean,
             "miss_energy_j": miss_mean,
             "hit_miss_energy_ratio": ratio,
-            "sources": {
-                name: {
-                    "energy_j": counter.total(t),
-                    "power_w": counter.rate(t),
-                }
-                for name, counter in sorted(self._by_source.items())
-            },
+            "sources": sources,
             "conservation": self.ledger.snapshot(),
         }
 
@@ -285,28 +272,23 @@ class EnergyWindows:
         (joules over the bucket width — the online power trace), the
         mean joules per completed query, and the per-source wattage.
         """
-        width = self._registry.width_s
-        totals = dict(self._total.per_bucket(t))
-        hist = {row["t_start"]: row for row in self._energy.per_bucket(t)}
-        sources = {
-            name: dict(counter.per_bucket(t))
-            for name, counter in sorted(self._by_source.items())
-        }
-        starts = sorted(set(totals) | set(hist))
+        width = self._ring.width_s
+        names = sorted(self._sources)
         rows = []
-        for start in starts:
-            joules = totals.get(start, 0.0)
-            hrow = hist.get(start, {})
+        for idx, b in self._ring.live(t):
+            series = b.energy
+            if not series.count:
+                continue
             rows.append(
                 {
-                    "t_start": start,
-                    "energy_j": joules,
-                    "power_w": joules / width,
-                    "count": hrow.get("count", 0),
-                    "energy_j_per_query": hrow.get("mean"),
+                    "t_start": idx * width,
+                    "energy_j": series.total,
+                    "power_w": series.total / width,
+                    "count": series.count,
+                    "energy_j_per_query": series.total / series.count,
                     "sources": {
-                        name: buckets.get(start, 0.0) / width
-                        for name, buckets in sources.items()
+                        name: b.energy_by_source.get(name, 0.0) / width
+                        for name in names
                     },
                 }
             )
@@ -317,3 +299,14 @@ class EnergyWindows:
             "rolling": self.rolling(t),
             "per_bucket": self.per_bucket(t),
         }
+
+
+def _side_mean(sides) -> Tuple[float, int]:
+    """Pooled mean and count of ``[count, joules]`` bucket tallies."""
+    count = 0
+    joules = 0.0
+    for n, j in sides:
+        if n:
+            count += n
+            joules += j
+    return (joules / count if count else float("nan")), count

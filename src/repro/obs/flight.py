@@ -17,8 +17,9 @@ buffers of the recent past:
 Everything is keyed by loop-clock timestamps the serve layer passes in,
 so under :class:`~repro.serve.vclock.VirtualTimeLoop` two runs with the
 same seed capture byte-identical histories.  Memory is strictly bounded:
-every buffer is a ``deque(maxlen=...)`` and the per-bucket accumulator
-is O(number of shed reasons).
+every buffer is a ``deque(maxlen=...)``.  Bucket rows are not
+accumulated here: each tick reads the closed bucket's
+:class:`~repro.obs.timeseries.ServeBucket` from the telemetry ring.
 
 When a :class:`~repro.obs.triggers.TriggerEngine` decides an incident
 happened, :meth:`FlightRecorder.dump_bundle` atomically writes a
@@ -41,6 +42,7 @@ from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
 
 from repro.obs.manifest import git_sha
+from repro.obs.timeseries import RequestRecord, ServeBucket
 
 __all__ = [
     "BUNDLE_VERSION",
@@ -82,53 +84,25 @@ def _json_safe(value: Any) -> Any:
     return value
 
 
-class _BucketAccumulator:
-    """Per-bucket counters reset on every telemetry tick (O(1) memory)."""
-
-    __slots__ = (
-        "completed",
-        "hits",
-        "shed",
-        "shed_reasons",
-        "sojourn_sum",
-        "sojourn_max",
-        "queue_wait_max",
-        "hop_err_s_max",
-        "hop_err_j_max",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.completed = 0
-        self.hits = 0
-        self.shed = 0
-        self.shed_reasons: Dict[str, int] = {}
-        self.sojourn_sum = 0.0
-        self.sojourn_max = 0.0
-        self.queue_wait_max = 0.0
-        self.hop_err_s_max = 0.0
-        self.hop_err_j_max = 0.0
-
-    def row(self) -> Dict[str, Any]:
-        events = self.completed + self.shed
-        return {
-            "completed": self.completed,
-            "hits": self.hits,
-            "shed": self.shed,
-            "shed_reasons": dict(self.shed_reasons),
-            "shed_fraction": self.shed / events if events else 0.0,
-            "sojourn_mean_s": (
-                self.sojourn_sum / self.completed if self.completed else None
-            ),
-            "sojourn_max_s": self.sojourn_max if self.completed else None,
-            "queue_wait_max_s": (
-                self.queue_wait_max if self.completed else None
-            ),
-            "hop_err_s_max": self.hop_err_s_max,
-            "hop_err_j_max": self.hop_err_j_max,
-        }
+def _bucket_row(bucket: ServeBucket) -> Dict[str, Any]:
+    """A closed bucket's counts, shed fractions by reason, sojourn and
+    queue-wait extremes, and worst per-request re-sum errors."""
+    completed = bucket.completed
+    events = completed + bucket.shed
+    return {
+        "completed": completed,
+        "hits": bucket.hits,
+        "shed": bucket.shed,
+        "shed_reasons": dict(bucket.shed_reasons),
+        "shed_fraction": bucket.shed / events if events else 0.0,
+        "sojourn_mean_s": (
+            bucket.sojourn.total / completed if completed else None
+        ),
+        "sojourn_max_s": bucket.sojourn.max if completed else None,
+        "queue_wait_max_s": bucket.queue_wait.max if completed else None,
+        "hop_err_s_max": bucket.hop_err_s_max,
+        "hop_err_j_max": bucket.hop_err_j_max,
+    }
 
 
 class FlightRecorder:
@@ -185,7 +159,6 @@ class FlightRecorder:
         #: records ever seen per ring (len(ring) + evicted)
         self.seen: Dict[str, int] = {kind: 0 for kind in self._rings}
         self._seq = 0
-        self._bkt = _BucketAccumulator()
         self._last_tick_t: Optional[float] = None
         self._last_ledger = (0.0, 0.0)
         self.bundles: List[str] = []
@@ -209,59 +182,30 @@ class FlightRecorder:
 
     # -- capture hooks -------------------------------------------------------
 
-    def on_response(self, t: float, response) -> None:
-        """Record one completed request (called by the telemetry plane)."""
-        segments = response.breakdown()
-        sojourn = response.sojourn_s
-        # Per-request re-sum checks: the segment telescoping invariant
-        # and the energy components-vs-total invariant, live instead of
-        # end-of-run only (the trigger engine watches these).
-        err_s = abs(sum(segments.values()) - sojourn)
-        energy = response.energy
-        if energy is not None:
-            energy_j = energy.total_j
-            err_j = abs(
-                ((energy.storage_j + energy.render_j) + energy.base_j)
-                + energy.radio_j
-                - energy_j
-            )
-        else:
-            energy_j = None
-            err_j = 0.0
-        record = {
+    def on_response(self, t: float, record: RequestRecord) -> None:
+        """Record one completed request (called by the telemetry plane
+        with the request's :class:`~repro.obs.timeseries.RequestRecord`,
+        whose per-request re-sum errors the trigger engine watches)."""
+        entry = {
             "kind": "request",
             "t": t,
-            "trace_id": response.trace_id,
-            "device_id": response.request.device_id,
-            "key": response.request.key,
-            "hit": response.outcome.hit,
-            "shared": response.shared_fetch,
-            "tier": response.tier,
-            "edge_node": response.edge_node,
-            "sojourn_s": sojourn,
-            "segments": segments,
-            "energy_j": energy_j,
-            "hop_err_s": err_s,
-            "hop_err_j": err_j,
+            "trace_id": record.trace_id,
+            "device_id": record.request.device_id,
+            "key": record.request.key,
+            "hit": record.hit,
+            "shared": record.shared,
+            "tier": record.tier,
+            "edge_node": record.edge_node,
+            "sojourn_s": record.sojourn_s,
+            "segments": record.segments,
+            "energy_j": record.energy_j,
+            "hop_err_s": record.hop_err_s,
+            "hop_err_j": record.hop_err_j,
         }
         with self._lock:
-            self._append("request", record)
-            bkt = self._bkt
-            bkt.completed += 1
-            if response.outcome.hit:
-                bkt.hits += 1
-            bkt.sojourn_sum += sojourn
-            if sojourn > bkt.sojourn_max:
-                bkt.sojourn_max = sojourn
-            queue_wait = segments.get("queue_wait", 0.0)
-            if queue_wait > bkt.queue_wait_max:
-                bkt.queue_wait_max = queue_wait
-            if err_s > bkt.hop_err_s_max:
-                bkt.hop_err_s_max = err_s
-            if err_j > bkt.hop_err_j_max:
-                bkt.hop_err_j_max = err_j
+            self._append("request", entry)
         if self.triggers is not None:
-            self.triggers.on_response(t, record, self)
+            self.triggers.on_response(t, entry, self)
 
     def on_shed(self, t: float, reply) -> None:
         """Record one typed shed event (called by the telemetry plane)."""
@@ -280,10 +224,6 @@ class FlightRecorder:
         }
         with self._lock:
             self._append("shed", record)
-            self._bkt.shed += 1
-            self._bkt.shed_reasons[reply.reason] = (
-                self._bkt.shed_reasons.get(reply.reason, 0) + 1
-            )
 
     def on_alerts(self, t: float, alerts) -> None:
         """Record fired SLO burn alerts (forwarded by the telemetry
@@ -298,12 +238,13 @@ class FlightRecorder:
             self.triggers.on_alerts(t, alerts, self)
 
     def on_tick(self, t: float, telemetry) -> None:
-        """Close the bucket that just ended: emit its row (with the
-        energy-ledger delta) and a per-edge-node stats snapshot."""
+        """Close the bucket that just ended: emit its row (read from the
+        telemetry ring, with the energy-ledger delta) and a
+        per-edge-node stats snapshot."""
         ledger = telemetry.energy.ledger
         attributed, timeline = ledger.attributed_j, ledger.timeline_j
+        row = _bucket_row(telemetry.closing_bucket())
         with self._lock:
-            row = self._bkt.row()
             row["kind"] = "bucket"
             row["t"] = t
             row["t_prev"] = self._last_tick_t
@@ -316,7 +257,6 @@ class FlightRecorder:
                 "requests": ledger.requests,
             }
             self._append("bucket", row)
-            self._bkt.reset()
             self._last_tick_t = t
             self._last_ledger = (attributed, timeline)
             edge_stats_fn = getattr(telemetry, "edge_stats_fn", None)
@@ -346,8 +286,8 @@ class FlightRecorder:
             )
 
     def finalize(self, t: Optional[float] = None, force: bool = False) -> None:
-        """Close out the run: flush the open bucket accumulator as a
-        final (partial) row, then let the trigger engine settle — a
+        """Close out the run: emit the open bucket as a final (partial)
+        row, then let the trigger engine settle — a
         pending trigger dumps with whatever baseline accumulated, and
         ``force=True`` dumps a manual bundle even without a trigger."""
         telemetry = self._telemetry

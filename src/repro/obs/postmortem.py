@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.benchgate import compare
 from repro.obs.flight import EVENTS_FILENAME, MANIFEST_FILENAME
+from repro.obs.registry import nearest_rank
 
 __all__ = [
     "REASON_SEGMENT",
@@ -102,11 +102,7 @@ def load_bundle(path: str) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
 
 def percentile(values: List[float], q: float) -> Optional[float]:
     """Nearest-rank percentile (None on empty input)."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
+    return nearest_rank(sorted(values), q) if values else None
 
 
 def _in_window(t: float, window: List[float], half_open: bool) -> bool:

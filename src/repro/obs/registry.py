@@ -10,8 +10,8 @@ aggregates without retaining per-event objects:
   percentile queries in O(reservoir) memory.  q=0 and q=100 are exact
   (tracked min/max); interior quantiles are estimates whose error
   shrinks with reservoir size.
-* :class:`P2Quantile` — the P² single-quantile estimator (Jain &
-  Chlamtac 1985): five markers, O(1) memory, no samples retained.
+* :func:`nearest_rank` — the nearest-rank percentile rule shared by
+  every exact and windowed percentile.
 
 All structures are deterministic: the reservoir uses a seeded PRNG so a
 replay produces identical percentile estimates run to run.
@@ -30,15 +30,15 @@ import json
 import math
 import random
 import threading
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = [
     "Counter",
     "Gauge",
     "MetricsRegistry",
-    "P2Quantile",
     "StreamingHistogram",
     "get_registry",
+    "nearest_rank",
 ]
 
 
@@ -104,116 +104,11 @@ class Gauge:
         return {"type": "gauge", "value": self.value}
 
 
-class P2Quantile:
-    """Streaming estimate of a single quantile via the P² algorithm.
-
-    Keeps five markers whose heights converge on the ``p``-quantile of
-    the stream without storing observations.  Exact until five samples
-    have arrived.
-
-    Args:
-        p: target quantile in (0, 1), e.g. 0.95.
-    """
-
-    def __init__(self, p: float) -> None:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {p}")
-        self.p = p
-        self._heights: List[float] = []
-        self._positions = [0, 1, 2, 3, 4]
-        self._desired = [0.0, 0.0, 0.0, 0.0, 0.0]
-        self._increments = [0.0, p / 2, p, (1 + p) / 2, 1.0]
-        self.count = 0
-        self._lock = threading.Lock()
-
-    def add(self, x: float) -> None:
-        with self._lock:
-            self._add_locked(x)
-
-    def _add_locked(self, x: float) -> None:
-        self.count += 1
-        heights = self._heights
-        if len(heights) < 5:
-            heights.append(x)
-            heights.sort()
-            if len(heights) == 5:
-                self._positions = [0, 1, 2, 3, 4]
-                self._desired = [
-                    0.0,
-                    1 + 2 * self.p,
-                    1 + 4 * self.p,
-                    3 + 2 * self.p,
-                    4.0,
-                ]
-            return
-
-        # Find the cell containing x and bump marker positions.
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
-        else:
-            k = 0
-            for i in range(1, 4):
-                if x < heights[i]:
-                    k = i - 1
-                    break
-            else:
-                k = 3
-        for i in range(k + 1, 5):
-            self._positions[i] += 1
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-
-        # Adjust the three interior markers toward their desired positions.
-        for i in range(1, 4):
-            d = self._desired[i] - self._positions[i]
-            pos, prev_pos, next_pos = (
-                self._positions[i],
-                self._positions[i - 1],
-                self._positions[i + 1],
-            )
-            if (d >= 1 and next_pos - pos > 1) or (d <= -1 and prev_pos - pos < -1):
-                step = 1 if d >= 1 else -1
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                self._positions[i] += step
-
-    def _parabolic(self, i: int, d: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (h[i + 1] - h[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (h[i] - h[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: int) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + d * (h[i + d] - h[i]) / (n[i + d] - n[i])
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> float:
-        """Current estimate (``nan`` before any samples)."""
-        if not self._heights:
-            return float("nan")
-        if len(self._heights) < 5:
-            # Exact quantile over the few retained samples (nearest-rank).
-            rank = max(0, math.ceil(self.p * len(self._heights)) - 1)
-            return self._heights[rank]
-        return self._heights[2]
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile ``q`` in [0, 100] of a non-empty sorted
+    sequence — the one percentile rule every report in this repo uses.
+    Callers choose their own empty-input value."""
+    return ordered[max(0, math.ceil(q / 100 * len(ordered)) - 1)]
 
 
 class StreamingHistogram:
@@ -296,8 +191,7 @@ class StreamingHistogram:
             if q == 100:
                 return self.max
             ordered = sorted(self._sample)
-        rank = max(0, math.ceil(q / 100 * len(ordered)) - 1)
-        return ordered[rank]
+        return nearest_rank(ordered, q)
 
     def merge(self, other: "StreamingHistogram") -> None:
         """Fold ``other`` into this histogram.

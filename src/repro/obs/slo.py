@@ -25,7 +25,8 @@ short window ends the alert promptly once the system recovers.  Alert
 :class:`SLOAlert` events and, when a tracer is recording, emitted into
 the span/event stream as ``slo_alert`` events.
 
-Like everything in :mod:`repro.obs.timeseries`, the monitor never reads
+The tallies are :class:`~repro.obs.timeseries.BucketRing` slots, and
+like everything in that module the monitor never reads
 a wall clock — timestamps come from the caller — so alert sequences are
 deterministic under :class:`~repro.serve.vclock.VirtualTimeLoop`.
 
@@ -50,7 +51,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.obs.timeseries import WindowedCounter
+from repro.obs.timeseries import BucketRing
 
 __all__ = ["SLOAlert", "SLOMonitor", "SLOPolicy", "SLORule"]
 
@@ -209,38 +210,39 @@ class SLOAlert:
 
 
 class _RuleState:
-    """Rolling and cumulative good/bad tallies for one rule."""
+    """Rolling and cumulative good/bad tallies for one rule.
 
-    __slots__ = ("rule", "long_bad", "long_total", "short_bad",
-                 "short_total", "bad", "total", "firing", "alerts")
+    One ring spans the long window; each slot is a ``[bad, total]``
+    tally, and the short window reads the newest ``short_n`` slots.
+    """
+
+    __slots__ = ("rule", "window", "short_n", "bad", "total", "firing",
+                 "alerts")
 
     def __init__(self, rule: SLORule, policy: SLOPolicy, width_s: float) -> None:
         self.rule = rule
         long_n = max(1, round(policy.long_window_s / width_s))
-        short_n = max(1, round(policy.short_window_s / width_s))
-        self.long_bad = WindowedCounter(width_s, long_n)
-        self.long_total = WindowedCounter(width_s, long_n)
-        self.short_bad = WindowedCounter(width_s, short_n)
-        self.short_total = WindowedCounter(width_s, short_n)
+        self.short_n = max(1, round(policy.short_window_s / width_s))
+        self.window = BucketRing(width_s, long_n, lambda: [0, 0])
         self.bad = 0
         self.total = 0
         self.firing = False
         self.alerts = 0
 
     def record(self, t: float, good: bool) -> None:
+        tally = self.window.at(t)
         self.total += 1
-        self.long_total.inc(t)
-        self.short_total.inc(t)
+        tally[1] += 1
         if not good:
             self.bad += 1
-            self.long_bad.inc(t)
-            self.short_bad.inc(t)
+            tally[0] += 1
 
     def burn(self, t: float, short: bool) -> float:
-        bad = (self.short_bad if short else self.long_bad).total(t)
-        total = (self.short_total if short else self.long_total).total(t)
+        live = self.window.live(t, self.short_n if short else None)
+        total = sum(tally[1] for _, tally in live)
         if total == 0:
             return 0.0
+        bad = sum(tally[0] for _, tally in live)
         return (bad / total) / self.rule.budget
 
     @property

@@ -1,16 +1,16 @@
-"""Windowed time-series: fixed-width ring-buffered buckets over metrics.
+"""Windowed time-series: one fixed-width bucket ring behind every window.
 
 The registry's instruments (:mod:`repro.obs.registry`) answer "what
 happened since the process started".  Serving needs the other question —
 "what is happening *now*": rolling hit rate over the last minute, p99
-over the last 10 seconds, the in-flight high-watermark per second.  This
-module provides that as a family of *windowed* instruments backed by one
-shared mechanism:
+over the last 10 seconds, the in-flight high-watermark per second.  One
+mechanism answers it:
 
 * time is divided into fixed-width buckets (``bucket index =
   floor(t / width)``);
-* each instrument keeps the newest ``n_buckets`` buckets in a ring —
-  observing into a bucket the ring has rotated past resets that slot;
+* a :class:`BucketRing` keeps the newest ``n_buckets`` buckets, one
+  aggregate per slot — observing into a bucket the ring has rotated past
+  resets that slot;
 * queries are evaluated *at* a caller-supplied time ``t`` and cover the
   window ``(t - n_buckets * width, t]``.
 
@@ -21,46 +21,52 @@ simulated seconds, so two runs of the same workload produce identical
 bucket contents — windowed telemetry is as deterministic as the replay
 itself.
 
-Instruments:
-
-* :class:`WindowedCounter` — per-bucket sums; rolling totals and rates.
-  ``observe_total`` mirrors an existing monotonic
-  :class:`~repro.obs.registry.Counter` by bucketing its deltas.
-* :class:`WindowedGauge` — per-bucket last value and high-watermark.
-* :class:`WindowedHistogram` — per-bucket
-  :class:`~repro.obs.registry.StreamingHistogram`; rolling quantiles are
-  nearest-rank over the window's pooled reservoirs.
-* :class:`ExemplarRing` — per-bucket top-K slow-request exemplars, each
-  carrying its full segment timeline (a
-  :meth:`~repro.obs.trace.TraceContext.to_dict` payload).
+The serve telemetry plane reduces every completed request once, to a
+:class:`RequestRecord`, and folds it into one :class:`ServeBucket` per
+bucket: request/shed counts, per-series samples (sojourn, queue wait,
+batch wait, service, edge hop, joules), energy by source, and the
+bucket's slowest requests.  The rolling view, the per-bucket rows, the
+energy windows and the flight recorder's bucket rows all read that one
+ring; the SLO rule tallies are a ring of their own.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+import random
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.obs.registry import StreamingHistogram
+from repro.obs.registry import nearest_rank
 
 __all__ = [
-    "ExemplarRing",
-    "TimeSeriesRegistry",
-    "WindowedCounter",
-    "WindowedGauge",
-    "WindowedHistogram",
+    "BUCKET_RESERVOIR",
+    "BucketRing",
+    "EXEMPLAR_K",
+    "RequestRecord",
+    "ServeBucket",
+    "slowest",
+    "window_count",
+    "window_mean",
+    "window_quantile",
 ]
 
+#: Per-bucket sample size of each series: buckets are short, so a small
+#: sample keeps the ring cheap while window quantiles pool across buckets.
+BUCKET_RESERVOIR = 256
 
-class _BucketRing:
-    """Ring of ``n`` fixed-width buckets addressed by timestamp.
+#: Slowest requests each bucket keeps as exemplars.
+EXEMPLAR_K = 5
 
-    Subclass state lives in per-slot payloads created by ``factory``.
-    A payload is recycled (re-created) whenever its slot is claimed by a
-    newer bucket index, so a ring never holds data older than the
-    window.
+
+class BucketRing:
+    """Ring of ``n_buckets`` fixed-width buckets addressed by timestamp.
+
+    Each slot holds one aggregate created by ``factory``.  A slot is
+    recycled (re-created) whenever a newer bucket index claims it, so a
+    ring never holds data older than the window.
     """
 
-    __slots__ = ("width_s", "n_buckets", "_index", "_payload", "_factory")
+    __slots__ = ("width_s", "n_buckets", "_index", "_slots", "_factory")
 
     def __init__(
         self, width_s: float, n_buckets: int, factory: Callable[[], Any]
@@ -72,355 +78,312 @@ class _BucketRing:
         self.width_s = width_s
         self.n_buckets = n_buckets
         self._index: List[Optional[int]] = [None] * n_buckets
-        self._payload: List[Any] = [None] * n_buckets
+        self._slots: List[Any] = [None] * n_buckets
         self._factory = factory
-
-    def bucket_index(self, t: float) -> int:
-        return int(math.floor(t / self.width_s))
-
-    def payload_at(self, t: float) -> Any:
-        """The live payload for time ``t``, resetting a stale slot."""
-        idx = self.bucket_index(t)
-        slot = idx % self.n_buckets
-        if self._index[slot] != idx:
-            self._index[slot] = idx
-            self._payload[slot] = self._factory()
-        return self._payload[slot]
-
-    def live(self, t: float) -> List[Tuple[int, Any]]:
-        """``(bucket_index, payload)`` for buckets inside the window at
-        ``t``, oldest first.  Buckets never observed are absent."""
-        newest = self.bucket_index(t)
-        oldest = newest - self.n_buckets + 1
-        out: List[Tuple[int, Any]] = []
-        for idx in range(oldest, newest + 1):
-            slot = idx % self.n_buckets
-            if self._index[slot] == idx:
-                out.append((idx, self._payload[slot]))
-        return out
-
-    def window_bounds(self, t: float) -> Tuple[float, float]:
-        """The half-open time span the window at ``t`` covers."""
-        newest = self.bucket_index(t)
-        return (
-            (newest - self.n_buckets + 1) * self.width_s,
-            (newest + 1) * self.width_s,
-        )
-
-
-class WindowedCounter:
-    """Per-bucket event sums over a ring of fixed-width buckets."""
-
-    def __init__(self, width_s: float = 1.0, n_buckets: int = 60) -> None:
-        self._ring = _BucketRing(width_s, n_buckets, lambda: [0.0])
-        self._last_total: Optional[float] = None
-
-    @property
-    def width_s(self) -> float:
-        return self._ring.width_s
-
-    @property
-    def n_buckets(self) -> int:
-        return self._ring.n_buckets
-
-    def inc(self, t: float, n: float = 1.0) -> None:
-        if n < 0:
-            raise ValueError(f"increment must be non-negative, got {n}")
-        self._ring.payload_at(t)[0] += n
-
-    def observe_total(self, t: float, total: float) -> None:
-        """Mirror a monotonic cumulative counter by bucketing its delta
-        since the previous call (first call seeds the baseline)."""
-        if self._last_total is None:
-            self._last_total = total
-            return
-        delta = total - self._last_total
-        self._last_total = total
-        if delta < 0:
-            raise ValueError("observe_total requires a monotonic total")
-        if delta:
-            self.inc(t, delta)
-
-    def total(self, t: float) -> float:
-        """Events inside the window at ``t``."""
-        return sum(p[0] for _, p in self._ring.live(t))
-
-    def rate(self, t: float) -> float:
-        """Events per second over the full window span at ``t``."""
-        return self.total(t) / (self._ring.width_s * self._ring.n_buckets)
-
-    def per_bucket(self, t: float) -> List[Tuple[float, float]]:
-        """``(bucket_start_s, count)`` rows, oldest first."""
-        w = self._ring.width_s
-        return [(idx * w, p[0]) for idx, p in self._ring.live(t)]
-
-    def snapshot(self, t: float) -> Dict[str, Any]:
-        return {
-            "type": "windowed_counter",
-            "window_s": self._ring.width_s * self._ring.n_buckets,
-            "total": self.total(t),
-            "rate": self.rate(t),
-            "buckets": self.per_bucket(t),
-        }
-
-
-class WindowedGauge:
-    """Per-bucket last value and high-watermark."""
-
-    def __init__(self, width_s: float = 1.0, n_buckets: int = 60) -> None:
-        # payload = [last, max]
-        self._ring = _BucketRing(
-            width_s, n_buckets, lambda: [0.0, float("-inf")]
-        )
-
-    @property
-    def width_s(self) -> float:
-        return self._ring.width_s
-
-    @property
-    def n_buckets(self) -> int:
-        return self._ring.n_buckets
-
-    def observe(self, t: float, value: float) -> None:
-        payload = self._ring.payload_at(t)
-        payload[0] = float(value)
-        if value > payload[1]:
-            payload[1] = float(value)
-
-    def last(self, t: float) -> float:
-        live = self._ring.live(t)
-        return live[-1][1][0] if live else float("nan")
-
-    def high_watermark(self, t: float) -> float:
-        """Largest value observed anywhere in the window (nan if none)."""
-        live = self._ring.live(t)
-        return max(p[1] for _, p in live) if live else float("nan")
-
-    def per_bucket(self, t: float) -> List[Tuple[float, float, float]]:
-        """``(bucket_start_s, last, max)`` rows, oldest first."""
-        w = self._ring.width_s
-        return [(idx * w, p[0], p[1]) for idx, p in self._ring.live(t)]
-
-    def snapshot(self, t: float) -> Dict[str, Any]:
-        live = self._ring.live(t)
-        return {
-            "type": "windowed_gauge",
-            "window_s": self._ring.width_s * self._ring.n_buckets,
-            "last": self.last(t) if live else None,
-            "high_watermark": self.high_watermark(t) if live else None,
-            "buckets": self.per_bucket(t),
-        }
-
-
-#: Per-bucket reservoir size: buckets are short, so a small reservoir
-#: keeps the ring cheap while window quantiles pool across buckets.
-BUCKET_RESERVOIR = 256
-
-
-class WindowedHistogram:
-    """Per-bucket streaming histograms with rolling window quantiles."""
-
-    def __init__(
-        self,
-        width_s: float = 1.0,
-        n_buckets: int = 60,
-        reservoir_size: int = BUCKET_RESERVOIR,
-    ) -> None:
-        self._ring = _BucketRing(
-            width_s,
-            n_buckets,
-            lambda: StreamingHistogram(reservoir_size=reservoir_size),
-        )
-
-    @property
-    def width_s(self) -> float:
-        return self._ring.width_s
-
-    @property
-    def n_buckets(self) -> int:
-        return self._ring.n_buckets
-
-    def observe(self, t: float, value: float) -> None:
-        self._ring.payload_at(t).add(value)
-
-    def count(self, t: float) -> int:
-        return sum(h.count for _, h in self._ring.live(t))
-
-    def total(self, t: float) -> float:
-        """Sum of all observed values inside the window at ``t``."""
-        return sum(h.total for _, h in self._ring.live(t))
-
-    def quantile(self, t: float, q: float) -> float:
-        """Rolling percentile over the window at ``t``.
-
-        Exact at the extremes (tracked min/max); nearest-rank over the
-        pooled per-bucket reservoirs in between.  ``nan`` when empty.
-        """
-        if not 0 <= q <= 100:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        live = [h for _, h in self._ring.live(t) if h.count]
-        if not live:
-            return float("nan")
-        if q == 0:
-            return min(h.min for h in live)
-        if q == 100:
-            return max(h.max for h in live)
-        pooled = sorted(x for h in live for x in h.samples())
-        rank = max(0, math.ceil(q / 100 * len(pooled)) - 1)
-        return pooled[rank]
-
-    def mean(self, t: float) -> float:
-        live = [h for _, h in self._ring.live(t) if h.count]
-        if not live:
-            return float("nan")
-        return sum(h.total for h in live) / sum(h.count for h in live)
-
-    def per_bucket(self, t: float) -> List[Dict[str, Any]]:
-        """One summary dict per live bucket, oldest first."""
-        w = self._ring.width_s
-        rows = []
-        for idx, h in self._ring.live(t):
-            rows.append(
-                {
-                    "t_start": idx * w,
-                    "count": h.count,
-                    "mean": h.total / h.count if h.count else None,
-                    "p50": h.quantile(50) if h.count else None,
-                    "p99": h.quantile(99) if h.count else None,
-                    "max": h.max if h.count else None,
-                }
-            )
-        return rows
-
-    def snapshot(self, t: float) -> Dict[str, Any]:
-        n = self.count(t)
-        return {
-            "type": "windowed_histogram",
-            "window_s": self._ring.width_s * self._ring.n_buckets,
-            "count": n,
-            "mean": self.mean(t) if n else None,
-            "p50": self.quantile(t, 50) if n else None,
-            "p99": self.quantile(t, 99) if n else None,
-            "max": self.quantile(t, 100) if n else None,
-            "buckets": self.per_bucket(t),
-        }
-
-
-class ExemplarRing:
-    """Top-K slowest requests per bucket, with full segment timelines.
-
-    Aggregates tell you *that* p99 moved; exemplars tell you *why*: each
-    retained entry is the complete phase breakdown of one concrete slow
-    request.  Retention is per bucket (so a quiet minute cannot be
-    crowded out of the ring by a busy one) and bounded to ``k`` entries
-    per bucket, kept in descending latency order.
-    """
-
-    def __init__(
-        self, width_s: float = 1.0, n_buckets: int = 60, k: int = 5
-    ) -> None:
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        self.k = k
-        self._ring = _BucketRing(width_s, n_buckets, list)
-
-    def observe(self, t: float, latency_s: float, payload: Dict[str, Any]) -> None:
-        """Offer one completed request; retained iff it is among the
-        bucket's ``k`` slowest so far."""
-        bucket: List[Tuple[float, Dict[str, Any]]] = self._ring.payload_at(t)
-        if len(bucket) == self.k and latency_s <= bucket[-1][0]:
-            return
-        bucket.append((latency_s, payload))
-        bucket.sort(key=lambda pair: -pair[0])
-        del bucket[self.k:]
-
-    def top(self, t: float, k: Optional[int] = None) -> List[Dict[str, Any]]:
-        """The ``k`` slowest exemplars across the whole window at ``t``."""
-        k = self.k if k is None else k
-        entries = [
-            (latency, payload)
-            for _, bucket in self._ring.live(t)
-            for latency, payload in bucket
-        ]
-        entries.sort(key=lambda pair: -pair[0])
-        return [
-            dict(payload, latency_s=latency) for latency, payload in entries[:k]
-        ]
-
-    def snapshot(self, t: float) -> Dict[str, Any]:
-        return {
-            "type": "exemplars",
-            "window_s": self._ring.width_s * self._ring.n_buckets,
-            "top": self.top(t),
-        }
-
-
-class TimeSeriesRegistry:
-    """Get-or-create registry of named windowed instruments.
-
-    All instruments share one bucket geometry so their per-bucket rows
-    line up column-for-column in snapshots and the ``repro top`` view.
-    """
-
-    def __init__(self, width_s: float = 1.0, n_buckets: int = 60) -> None:
-        if width_s <= 0:
-            raise ValueError(f"width_s must be positive, got {width_s}")
-        if n_buckets <= 0:
-            raise ValueError(f"n_buckets must be positive, got {n_buckets}")
-        self.width_s = width_s
-        self.n_buckets = n_buckets
-        self._instruments: Dict[str, Any] = {}
 
     @property
     def window_s(self) -> float:
         return self.width_s * self.n_buckets
 
-    def counter(self, name: str) -> WindowedCounter:
-        return self._get_or_create(
-            name,
-            WindowedCounter,
-            lambda: WindowedCounter(self.width_s, self.n_buckets),
-        )
+    def at(self, t: float) -> Any:
+        """The live aggregate for time ``t``, resetting a stale slot."""
+        idx = int(math.floor(t / self.width_s))
+        slot = idx % self.n_buckets
+        if self._index[slot] != idx:
+            self._index[slot] = idx
+            self._slots[slot] = self._factory()
+        return self._slots[slot]
 
-    def gauge(self, name: str) -> WindowedGauge:
-        return self._get_or_create(
-            name,
-            WindowedGauge,
-            lambda: WindowedGauge(self.width_s, self.n_buckets),
-        )
+    def get(self, idx: int) -> Optional[Any]:
+        """Bucket ``idx``'s aggregate, or None once its slot moved on."""
+        slot = idx % self.n_buckets
+        return self._slots[slot] if self._index[slot] == idx else None
 
-    def histogram(self, name: str) -> WindowedHistogram:
-        return self._get_or_create(
-            name,
-            WindowedHistogram,
-            lambda: WindowedHistogram(self.width_s, self.n_buckets),
-        )
+    def live(self, t: float, n: Optional[int] = None) -> List[Tuple[int, Any]]:
+        """``(bucket_index, aggregate)`` for the newest ``n`` buckets
+        (default: the whole window) at ``t``, oldest first.  Buckets
+        never observed are absent."""
+        newest = int(math.floor(t / self.width_s))
+        span = self.n_buckets if n is None else min(n, self.n_buckets)
+        out: List[Tuple[int, Any]] = []
+        for idx in range(newest - span + 1, newest + 1):
+            slot = idx % self.n_buckets
+            if self._index[slot] == idx:
+                out.append((idx, self._slots[slot]))
+        return out
 
-    def exemplars(self, name: str, k: int = 5) -> ExemplarRing:
-        return self._get_or_create(
-            name,
-            ExemplarRing,
-            lambda: ExemplarRing(self.width_s, self.n_buckets, k=k),
-        )
 
-    def _get_or_create(self, name, expected_type, factory):
-        instrument = self._instruments.get(name)
-        if instrument is None:
-            instrument = factory()
-            self._instruments[name] = instrument
-        elif not isinstance(instrument, expected_type):
-            raise TypeError(
-                f"series {name!r} already registered as "
-                f"{type(instrument).__name__}, not {expected_type.__name__}"
+# -- per-bucket samples -------------------------------------------------------
+
+#: Seed of a bucket sample's replacement draws.  A series seeds its
+#: generator only once it passes :data:`BUCKET_RESERVOIR` values, so
+#: buckets that never fill their sample allocate none.
+_SAMPLE_SEED = 0x5EED
+
+
+class _Series:
+    """One series within one bucket: count, sum, exact extremes, and a
+    uniform sample of at most :data:`BUCKET_RESERVOIR` values
+    (algorithm R)."""
+
+    __slots__ = ("count", "total", "min", "max", "kept", "_rng")
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        self.kept: List[float] = []
+        self._rng: Optional[random.Random] = None
+
+    def add(self, x: float) -> None:
+        self.count += 1
+        self.total += x
+        if x < self.min:
+            self.min = x
+        if x > self.max:
+            self.max = x
+        if self.count <= BUCKET_RESERVOIR:
+            self.kept.append(x)
+        else:
+            if self._rng is None:
+                self._rng = random.Random(_SAMPLE_SEED)
+            j = self._rng.randrange(self.count)
+            if j < BUCKET_RESERVOIR:
+                self.kept[j] = x
+
+    def quantile(self, q: float) -> float:
+        """Nearest-rank over this bucket's sample (non-empty series)."""
+        return nearest_rank(sorted(self.kept), q)
+
+
+def window_quantile(series: Iterable[_Series], q: float) -> float:
+    """Percentile ``q`` of one series over a window's buckets.
+
+    Exact at the extremes (tracked min/max); nearest-rank over the
+    pooled per-bucket samples in between.  ``nan`` when empty.
+    """
+    if not 0 <= q <= 100:
+        raise ValueError(f"percentile must be in [0, 100], got {q}")
+    live = [s for s in series if s.count]
+    if not live:
+        return float("nan")
+    if q == 0:
+        return min(s.min for s in live)
+    if q == 100:
+        return max(s.max for s in live)
+    return nearest_rank(sorted(x for s in live for x in s.kept), q)
+
+
+def window_mean(series: Iterable[_Series]) -> float:
+    """Mean of one series over a window's buckets (``nan`` when empty)."""
+    live = [s for s in series if s.count]
+    if not live:
+        return float("nan")
+    return sum(s.total for s in live) / sum(s.count for s in live)
+
+
+def window_count(counts: Iterable[int]) -> Any:
+    """A window total of per-bucket event counts, as a float.
+
+    Buckets that never saw the series add nothing, so a window without
+    one reports int ``0``, not ``0.0``, in the snapshot JSON.
+    """
+    seen = [c for c in counts if c]
+    return float(sum(seen)) if seen else 0
+
+
+# -- the per-request record ---------------------------------------------------
+
+
+class RequestRecord:
+    """One completed request, reduced once for every observer.
+
+    Built from a finished :class:`~repro.serve.requests.ServeResponse`
+    (duck-typed: this layer never imports the serve stack): one segment
+    breakdown, the energy totals, and both re-sum errors — the segments
+    against the sojourn, the energy components against the total.
+    """
+
+    __slots__ = (
+        "request",
+        "trace",
+        "sojourn_s",
+        "segments",
+        "hit",
+        "shared",
+        "tier",
+        "edge_node",
+        "source",
+        "energy_j",
+        "radio_j",
+        "timeline_j",
+        "hop_err_s",
+        "hop_err_j",
+    )
+
+    def __init__(self, response) -> None:
+        self.request = response.request
+        self.trace = response.trace
+        self.sojourn_s = sojourn = response.sojourn_s
+        self.segments = segments = response.breakdown()
+        outcome = response.outcome
+        self.hit = outcome.hit
+        self.source = outcome.source.value
+        self.shared = response.shared_fetch
+        self.tier = response.tier
+        self.edge_node = response.edge_node
+        self.hop_err_s = abs(sum(segments.values()) - sojourn)
+        energy = response.energy
+        if energy is None:
+            self.energy_j: Optional[float] = None
+            self.radio_j = 0.0
+            self.timeline_j = 0.0
+            self.hop_err_j = 0.0
+        else:
+            self.energy_j = energy_j = energy.total_j
+            self.radio_j = radio_j = energy.radio_j
+            self.timeline_j = response.radio_timeline_j
+            self.hop_err_j = abs(
+                ((energy.storage_j + energy.render_j) + energy.base_j)
+                + radio_j
+                - energy_j
             )
-        return instrument
 
-    def names(self) -> List[str]:
-        return sorted(self._instruments)
+    @property
+    def trace_id(self) -> Optional[int]:
+        return self.trace.trace_id if self.trace is not None else None
 
-    def snapshot(self, t: float) -> Dict[str, Dict[str, Any]]:
-        """All windowed instruments evaluated at time ``t``."""
-        return {
-            name: self._instruments[name].snapshot(t)
-            for name in sorted(self._instruments)
-        }
+    def exemplar(self) -> Dict[str, Any]:
+        """The full segment timeline plus request identity (requests
+        with a trace only)."""
+        payload = self.trace.to_dict()
+        payload["device_id"] = self.request.device_id
+        payload["key"] = self.request.key
+        payload["hit"] = self.hit
+        payload["tier"] = self.tier
+        if self.edge_node is not None:
+            payload["edge_node"] = self.edge_node
+        return payload
+
+
+# -- the per-bucket aggregate -------------------------------------------------
+
+
+class ServeBucket:
+    """Every serve series of one bucket."""
+
+    __slots__ = (
+        "requests",
+        "completed",
+        "hits",
+        "fetches",
+        "piggybacked",
+        "shed",
+        "shed_reasons",
+        "tiers",
+        "inflight",
+        "inflight_max",
+        "sojourn",
+        "queue_wait",
+        "batch_wait",
+        "service",
+        "edge_hop",
+        "energy",
+        "hit_energy",
+        "miss_energy",
+        "energy_by_source",
+        "hop_err_s_max",
+        "hop_err_j_max",
+        "exemplars",
+    )
+
+    def __init__(self) -> None:
+        self.requests = 0
+        self.completed = 0
+        self.hits = 0
+        self.fetches = 0
+        self.piggybacked = 0
+        self.shed = 0
+        self.shed_reasons: Dict[str, int] = {}
+        self.tiers: Dict[str, int] = {}
+        #: last in-flight count observed (None: never observed)
+        self.inflight: Optional[float] = None
+        self.inflight_max = -math.inf
+        self.sojourn = _Series()
+        self.queue_wait = _Series()
+        self.batch_wait = _Series()
+        self.service = _Series()
+        #: cloudlet time (edge_hop + edge_serve) of edge-path requests
+        self.edge_hop = _Series()
+        self.energy = _Series()
+        #: ``[count, joules]`` of hits and of misses
+        self.hit_energy = [0, 0.0]
+        self.miss_energy = [0, 0.0]
+        self.energy_by_source: Dict[str, float] = {}
+        self.hop_err_s_max = 0.0
+        self.hop_err_j_max = 0.0
+        #: up to :data:`EXEMPLAR_K` ``(sojourn_s, record)``, slowest first
+        self.exemplars: List[Tuple[float, RequestRecord]] = []
+
+    def observe_inflight(self, inflight: float) -> None:
+        self.inflight = float(inflight)
+        if inflight > self.inflight_max:
+            self.inflight_max = float(inflight)
+
+    def add_shed(self, reason: str) -> None:
+        self.shed += 1
+        self.shed_reasons[reason] = self.shed_reasons.get(reason, 0) + 1
+
+    def add(self, record: RequestRecord) -> None:
+        """Fold one completed request into every series."""
+        seg = record.segments
+        self.completed += 1
+        if record.hit:
+            self.hits += 1
+        elif record.shared:
+            self.piggybacked += 1
+        elif seg["batch_wait"] > 0:
+            self.fetches += 1
+        self.tiers[record.tier] = self.tiers.get(record.tier, 0) + 1
+        sojourn = record.sojourn_s
+        self.sojourn.add(sojourn)
+        self.queue_wait.add(seg["queue_wait"])
+        self.batch_wait.add(seg["batch_wait"])
+        self.service.add(seg["service"])
+        edge_s = seg["edge_hop"] + seg["edge_serve"]
+        if edge_s > 0:
+            self.edge_hop.add(edge_s)
+        energy_j = record.energy_j
+        if energy_j is not None:
+            self.energy.add(energy_j)
+            side = self.hit_energy if record.hit else self.miss_energy
+            side[0] += 1
+            side[1] += energy_j
+            by_source = self.energy_by_source
+            by_source[record.source] = (
+                by_source.get(record.source, 0.0) + energy_j
+            )
+        if record.hop_err_s > self.hop_err_s_max:
+            self.hop_err_s_max = record.hop_err_s
+        if record.hop_err_j > self.hop_err_j_max:
+            self.hop_err_j_max = record.hop_err_j
+        if record.trace is not None:
+            kept = self.exemplars
+            if len(kept) < EXEMPLAR_K or sojourn > kept[-1][0]:
+                kept.append((sojourn, record))
+                kept.sort(key=lambda pair: -pair[0])
+                del kept[EXEMPLAR_K:]
+
+
+def slowest(
+    buckets: Iterable[ServeBucket], k: int = EXEMPLAR_K
+) -> List[Dict[str, Any]]:
+    """The ``k`` slowest exemplars across ``buckets`` (oldest first on
+    ties), each with its ``latency_s``."""
+    entries = [pair for b in buckets for pair in b.exemplars]
+    entries.sort(key=lambda pair: -pair[0])
+    return [
+        dict(record.exemplar(), latency_s=latency)
+        for latency, record in entries[:k]
+    ]

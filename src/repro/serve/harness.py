@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 from repro.edge.tier import EdgeTier, EdgeTopology
 from repro.logs.generator import SearchLog
 from repro.logs.schema import MONTH_SECONDS, UserClass
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, nearest_rank
 from repro.obs.slo import SLOPolicy
 from repro.obs.trace import get_tracer
 from repro.pocketsearch.content import (
@@ -57,12 +57,7 @@ __all__ = ["ServeReport", "serve_replay", "run_loadtest", "run_workload"]
 
 def _percentile(ordered: List[float], q: float) -> float:
     """Nearest-rank percentile of a pre-sorted list (nan when empty)."""
-    if not ordered:
-        return float("nan")
-    import math
-
-    rank = max(0, math.ceil(q / 100 * len(ordered)) - 1)
-    return ordered[rank]
+    return nearest_rank(ordered, q) if ordered else float("nan")
 
 
 @dataclass
@@ -322,7 +317,7 @@ def _build_report(
         report.battery_day_fraction = batteries["mean_burn_per_day"]
         report.queries_per_charge = batteries["queries_per_charge"]
     report.slo = telemetry.verdict()
-    report.exemplars = telemetry.exemplars.top(telemetry.t_last)
+    report.exemplars = telemetry.exemplars(telemetry.t_last)
     return report
 
 

@@ -21,12 +21,11 @@ can aggregate sparse user buckets without guarding every access.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional
 
-from repro.obs.registry import StreamingHistogram
+from repro.obs.registry import StreamingHistogram, nearest_rank
 
 #: Default bounded-mode window resolution: one day of simulated time.
 DEFAULT_WINDOW_BUCKET_S = 24 * 3600.0
@@ -230,9 +229,7 @@ class MetricsCollector:
             return _NAN
         if self.bounded:
             return self._latency_hist.quantile(q)
-        ordered = sorted(o.latency_s for o in self.outcomes)
-        rank = max(0, math.ceil(q / 100 * len(ordered)) - 1)
-        return ordered[rank]
+        return nearest_rank(sorted(o.latency_s for o in self.outcomes), q)
 
     def hit_rate_by(self, predicate) -> float:
         """Hit rate restricted to outcomes matching ``predicate``.

@@ -11,7 +11,9 @@ from repro.obs.energy import (
     EnergyWindows,
     split_shared_radio,
 )
-from repro.obs.timeseries import TimeSeriesRegistry
+from repro.obs.timeseries import BucketRing, RequestRecord, ServeBucket
+from repro.serve.requests import ServeRequest, ServeResponse
+from repro.sim.metrics import QueryOutcome, ServiceSource
 
 
 class TestEnergyBreakdown:
@@ -130,16 +132,41 @@ class TestEnergyLedger:
 
 class TestEnergyWindows:
     def make(self):
-        reg = TimeSeriesRegistry(width_s=1.0, n_buckets=60)
-        return EnergyWindows(reg)
+        ring = BucketRing(1.0, 60, ServeBucket)
+        win = EnergyWindows(ring)
+
+        def on_request(t, source, hit, breakdown, timeline_j):
+            """Feed one attributed response the way the telemetry
+            plane does: into the ring, then the ledger."""
+            record = RequestRecord(ServeResponse(
+                request=ServeRequest(device_id=1, key="q"),
+                outcome=QueryOutcome(
+                    query="q",
+                    hit=hit,
+                    source=ServiceSource(source),
+                    latency_s=0.1,
+                    energy_j=breakdown.total_j,
+                    timestamp=t,
+                ),
+                enqueued_at=t - 0.1,
+                started_at=t - 0.1,
+                completed_at=t,
+                energy=breakdown,
+                radio_timeline_j=timeline_j,
+            ))
+            ring.at(t).add(record)
+            win.on_request(record)
+
+        win.feed = on_request
+        return win
 
     def test_rolling_stats(self):
         win = self.make()
         hit = EnergyBreakdown(storage_j=0.4, base_j=0.1)  # 0.5 J
         miss = EnergyBreakdown(ramp_j=2.0, transfer_j=6.0, tail_j=2.0)  # 10 J
         for i in range(10):
-            win.on_request(float(i), "cache", True, hit, 0.0)
-        win.on_request(10.0, "3g", False, miss, miss.radio_j)
+            win.feed(float(i), "cache", True, hit, 0.0)
+        win.feed(10.0, "3g", False, miss, miss.radio_j)
         rolling = win.rolling(11.0)
         assert rolling["hit_energy_j"] == pytest.approx(0.5)
         assert rolling["miss_energy_j"] == pytest.approx(10.0)
@@ -151,14 +178,14 @@ class TestEnergyWindows:
 
     def test_ratio_nan_without_both_sides(self):
         win = self.make()
-        win.on_request(0.0, "cache", True, EnergyBreakdown(storage_j=0.5), 0.0)
+        win.feed(0.0, "cache", True, EnergyBreakdown(storage_j=0.5), 0.0)
         assert math.isnan(win.rolling(1.0)["hit_miss_energy_ratio"])
 
     def test_per_bucket_power(self):
         win = self.make()
         bd = EnergyBreakdown(transfer_j=3.0)
-        win.on_request(5.2, "3g", False, bd, bd.radio_j)
-        win.on_request(5.7, "3g", False, bd, bd.radio_j)
+        win.feed(5.2, "3g", False, bd, bd.radio_j)
+        win.feed(5.7, "3g", False, bd, bd.radio_j)
         rows = win.per_bucket(6.0)
         row = next(r for r in rows if r["t_start"] == 5.0)
         assert row["energy_j"] == pytest.approx(6.0)
@@ -173,13 +200,13 @@ class TestEnergyWindows:
         leader_share, rider_share = split_shared_radio(1.0, 4.0, 1.0, 1)
         leader = full.with_radio(*leader_share)
         rider = full.with_radio(*rider_share)
-        win.on_request(0.0, "3g", False, leader, full.radio_j)
-        win.on_request(0.0, "3g", False, rider, 0.0)
+        win.feed(0.0, "3g", False, leader, full.radio_j)
+        win.feed(0.0, "3g", False, rider, 0.0)
         assert win.ledger.conserved()
 
     def test_snapshot_shape(self):
         win = self.make()
-        win.on_request(0.0, "cache", True, EnergyBreakdown(storage_j=0.1), 0.0)
+        win.feed(0.0, "cache", True, EnergyBreakdown(storage_j=0.1), 0.0)
         snap = win.snapshot(1.0)
         assert set(snap) == {"rolling", "per_bucket"}
         assert snap["per_bucket"][0]["t_start"] == 0.0

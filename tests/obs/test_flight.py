@@ -14,6 +14,7 @@ from repro.obs.flight import (
     MANIFEST_FILENAME,
     FlightRecorder,
 )
+from repro.obs.timeseries import RequestRecord
 from repro.obs.triggers import TriggerConfig, TriggerEngine
 from repro.serve import LoadGenConfig, ServeConfig, run_loadtest
 from repro.serve.requests import Overloaded, ServeRequest, ServeResponse
@@ -40,6 +41,10 @@ def make_response(t, device_id=1, key="q", hit=True, sojourn=0.25):
         started_at=t - sojourn,
         completed_at=t,
     )
+
+
+def make_record(t, **kwargs):
+    return RequestRecord(make_response(t, **kwargs))
 
 
 def make_shed(t, device_id=1, reason="server-busy"):
@@ -75,7 +80,7 @@ class TestRingsBounded:
     def test_request_ring_evicts_oldest(self):
         flight = FlightRecorder(request_ring=8)
         for i in range(20):
-            flight.on_response(float(i), make_response(float(i), device_id=i))
+            flight.on_response(float(i), make_record(float(i), device_id=i))
         status = flight.status()
         assert status["retained"]["request"] == 8
         assert status["seen"]["request"] == 20
@@ -193,7 +198,7 @@ class TestTriggerEngine:
         flight, engine, telemetry = self._flight(
             tmp_path, hop_resum_tol_s=1e-6
         )
-        flight.on_response(0.5, FakeBadResponse(0.5))
+        flight.on_response(0.5, RequestRecord(FakeBadResponse(0.5)))
         assert engine.pending is not None
         assert engine.pending["trigger"] == "hop-resum-error"
 
@@ -331,8 +336,7 @@ class TestFlightConcurrencyHammer:
                 if i % 3 == 0:
                     flight.on_shed(t, make_shed(t, device_id=k))
                 else:
-                    flight.on_response(
-                        t, make_response(t, device_id=k), )
+                    flight.on_response(t, make_record(t, device_id=k))
 
         threads = [
             threading.Thread(target=work, args=(k,)) for k in range(N_THREADS)
@@ -361,7 +365,7 @@ class TestFlightConcurrencyHammer:
         def record():
             i = 0
             while not stop.is_set():
-                flight.on_response(i * 1e-3, make_response(i * 1e-3))
+                flight.on_response(i * 1e-3, make_record(i * 1e-3))
                 i += 1
 
         writer = threading.Thread(target=record)

@@ -1,4 +1,5 @@
-"""Tests for counters, gauges, and streaming quantile estimators."""
+"""Tests for counters, gauges, streaming histograms, and the
+nearest-rank percentile rule."""
 
 import math
 
@@ -9,8 +10,8 @@ from repro.obs.registry import (
     Counter,
     Gauge,
     MetricsRegistry,
-    P2Quantile,
     StreamingHistogram,
+    nearest_rank,
 )
 from repro.sim.metrics import MetricsCollector, QueryOutcome, ServiceSource
 
@@ -104,31 +105,18 @@ class TestStreamingHistogram:
         assert a.mean == pytest.approx(5.0)
 
 
-class TestP2Quantile:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
+class TestNearestRank:
+    def test_rank_is_ceiling_of_fraction(self):
+        ordered = [float(i) for i in range(1, 101)]
+        assert nearest_rank(ordered, 50) == 50.0
+        assert nearest_rank(ordered, 99) == 99.0
+        assert nearest_rank(ordered, 99.5) == 100.0
 
-    def test_empty_is_nan(self):
-        assert math.isnan(P2Quantile(0.5).value)
-
-    def test_small_stream_exact(self):
-        p = P2Quantile(0.5)
-        for x in (3.0, 1.0, 2.0):
-            p.add(x)
-        assert p.value == 2.0
-
-    def test_converges_to_true_quantile(self):
-        rng = np.random.default_rng(3)
-        data = rng.normal(0.0, 1.0, 50_000)
-        for q in (0.5, 0.95):
-            est = P2Quantile(q)
-            for x in data:
-                est.add(float(x))
-            exact = float(np.percentile(data, q * 100))
-            assert est.value == pytest.approx(exact, abs=0.05)
+    def test_extremes_are_first_and_last(self):
+        ordered = [1.0, 2.0, 3.0]
+        assert nearest_rank(ordered, 0) == 1.0
+        assert nearest_rank(ordered, 100) == 3.0
+        assert nearest_rank([7.0], 50) == 7.0
 
 
 def _outcome(latency):
@@ -201,10 +189,7 @@ class TestPicklability:
         g.max(7.5)
         h = StreamingHistogram(reservoir_size=8)
         h.extend([1.0, 2.0, 3.0])
-        q = P2Quantile(0.95)
-        for x in range(10):
-            q.add(float(x))
-        for original in (c, g, q):
+        for original in (c, g):
             clone = pickle.loads(pickle.dumps(original))
             assert clone.value == original.value
         clone_h = pickle.loads(pickle.dumps(h))
