@@ -40,7 +40,9 @@ class OriginCoordinator:
     def __init__(self) -> None:
         #: merged global popularity: key -> community access count
         self.popularity: Dict[str, int] = {}
-        self.patches: List[UpdatePatch] = []
+        #: running totals over every exchange's patch
+        self.bytes_uploaded = 0
+        self.bytes_downloaded = 0
         self.flushes = 0
         self.deltas_merged = 0
         self.refreshes = 0
@@ -68,7 +70,7 @@ class OriginCoordinator:
             pairs_removed=0,
             results_added=0,
         )
-        self.patches.append(patch)
+        self.bytes_uploaded += patch.bytes_uploaded
         self.flushes += 1
         self.deltas_merged += len(deltas)
         return patch
@@ -89,19 +91,11 @@ class OriginCoordinator:
             pairs_removed=0,
             results_added=records_pushed,
         )
-        self.patches.append(patch)
+        self.bytes_downloaded += patch.bytes_downloaded
         self.refreshes += 1
         return patch
 
     # -- totals --------------------------------------------------------------
-
-    @property
-    def bytes_uploaded(self) -> int:
-        return sum(p.bytes_uploaded for p in self.patches)
-
-    @property
-    def bytes_downloaded(self) -> int:
-        return sum(p.bytes_downloaded for p in self.patches)
 
     def stats(self) -> Dict[str, int]:
         return {
