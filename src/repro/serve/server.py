@@ -226,8 +226,16 @@ class CloudletServer:
         return future
 
     def _shed(
-        self, future, request, reason: str, now: float, trace: TraceContext
+        self,
+        future,
+        request,
+        reason: str,
+        now: float,
+        trace: TraceContext,
+        admitted: bool = False,
     ) -> None:
+        """Resolve ``future`` with a typed shed; ``admitted`` marks a
+        request shed after admission (the edge hop)."""
         self.registry.counter("serve.shed").inc()
         self.registry.counter(
             "serve.shed." + reason.replace("-", "_")
@@ -235,7 +243,7 @@ class CloudletServer:
         trace.mark("shed", now)
         trace.annotate(shed_reason=reason)
         reply = Overloaded(request=request, reason=reason, t=now, trace=trace)
-        self.telemetry.on_shed(now, reply)
+        self.telemetry.on_shed(now, reply, admitted=admitted)
         future.set_result(reply)
 
     # -- workers ------------------------------------------------------------
@@ -301,6 +309,7 @@ class CloudletServer:
                             edge_result.reason,
                             loop.time(),
                             trace,
+                            admitted=True,
                         )
                         session.queue.task_done()
                         continue
