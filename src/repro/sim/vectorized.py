@@ -23,22 +23,33 @@ Bit-identity, not approximation:
 * outcomes are fed to the same :class:`MetricsCollector` in stream
   order, so bounded-mode reservoirs draw the identical RNG sequence.
 
-Events that mutate cross-batch state — the nightly community refresh of
-Section 6.2.2 — fall back to an exact scalar mirror of
-:meth:`CacheUpdateServer.refresh_with_content` applied between
-day-segments of the batch, including :class:`UpdatePatch` accounting and
-database compaction costs.
+Every user's cache is a copy-on-write overlay over a shared, read-only
+base: only the queries the user's clicks touch are copied.  Without
+daily updates the base is the initial community content.  With them
+(Section 6.2.2) every user gets the same mined content each night, so
+each day's content is merged once per universe into a :class:`_DayPlan`:
+its slots as a cache with no retained pairs holds them, its results,
+its table size and its diff from the day before.  Between the day
+segments of a user's stream, a refresh keeps the overlay's accessed
+pairs at or above the retention score, merges the day's slots into
+those queries only, swaps the plan in as the base and applies its diff
+to the user's result database.  It costs the user's touched queries
+plus the day's churn, not the cache's size, and its
+:class:`UpdatePatch` accounting and database compactions equal
+:meth:`CacheUpdateServer.refresh_with_content` on a real cache.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.logs.generator import SearchLog
 from repro.logs.schema import UserClass
+from repro.obs.trace import get_tracer
 from repro.pocketsearch.content import CacheContent
 from repro.pocketsearch.database import (
     DEFAULT_N_FILES,
@@ -136,6 +147,14 @@ class EngineCostModel:
         self.header_len = QueryHashTable._HEADER.size
         self.entry_head_len = QueryHashTable._ENTRY_HEAD.size
         self.slot_len = QueryHashTable._SLOT.size
+
+    def table_bytes(self, n_entries: int, n_slots: int) -> int:
+        """Wire-format length of a hash table (Section 5.4)."""
+        return (
+            self.header_len
+            + self.entry_head_len * n_entries
+            + self.slot_len * n_slots
+        )
 
     def read_cost(self, offset: int, nbytes: int) -> Tuple[float, float]:
         """(latency, energy) of one positioned file read, scalar path."""
@@ -263,8 +282,9 @@ class ReplayUniverse:
     Maps the log's string universe into canonical integer ids (two query
     keys with the same string collapse to one id, exactly as their MD5
     hashes collide in the real hash table) and mirrors the community
-    bulk-load: initial hash-table slots, result-database layout, and
-    query registry.  Shared read-only across all users of a shard.
+    bulk-load: the initial hash-table slots (:attr:`initial`) and the
+    result-database layout.  Shared read-only across all users of a
+    shard, as are the daily-update plans (:meth:`day_plans`).
     """
 
     def __init__(
@@ -291,30 +311,27 @@ class ReplayUniverse:
         self._personal_mapped = False
         self._rb_of_rkey: Dict[int, int] = {}
 
-        # Mirror of the community bulk-load (make_cache + load_community).
-        self.slots0: Dict[int, List[List]] = {}
-        self.db0: Dict[int, Tuple[int, int, int]] = {}
-        self.file_sizes0 = [0] * self.costs.n_files
-        self.file_entries0 = [0] * self.costs.n_files
-        self.registry0: Dict[int, bool] = {}
         self._file_of: Dict[int, int] = {}
         self._qstr: Dict[int, str] = {}
         self._static_cost: Dict[int, Tuple[float, float]] = {}
-        self._mapped: Dict[int, Tuple[CacheContent, List[Tuple]]] = {}
+        self._day_plans: Optional[
+            Tuple[List[CacheContent], List[_DayPlan]]
+        ] = None
         from repro.sim.replay import CacheMode
 
         if mode == CacheMode.PERSONALIZATION_ONLY:
             content = None  # scalar make_cache never loads community here
-        if content is not None:
-            for qid, rid, score, record_bytes in self.map_content(content):
-                self._load_pair(qid, rid, score, record_bytes)
-
-    # -- construction helpers ------------------------------------------------
-
-    def _load_pair(
-        self, qid: int, rid: int, score: float, record_bytes: int
-    ) -> None:
-        if rid not in self.db0:
+        # Mirror of the community bulk-load (make_cache + load_community):
+        # the merged slots, and each result stored once in first-seen order.
+        self.initial = _DayPlan(
+            self.map_content(content) if content is not None else [],
+            self.costs.results_per_entry,
+            None,
+        )
+        self.db0: Dict[int, Tuple[int, int, int]] = {}
+        self.file_sizes0 = [0] * self.costs.n_files
+        self.file_entries0 = [0] * self.costs.n_files
+        for rid, record_bytes in self.initial.results.items():
             file_index = self.file_of(rid)
             self.db0[rid] = (
                 file_index, self.file_sizes0[file_index], record_bytes
@@ -323,18 +340,35 @@ class ReplayUniverse:
                 record_bytes + self.costs.header_entry_bytes
             )
             self.file_entries0[file_index] += 1
-        _insert_slot(self.slots0.setdefault(qid, []), rid, score, False)
-        self.registry0[qid] = True
+
+    # -- construction helpers ------------------------------------------------
+
+    def day_plans(self, contents: List[CacheContent]) -> List["_DayPlan"]:
+        """One :class:`_DayPlan` per daily content, each diffed against
+        the day before (day 0 against :attr:`initial`).
+
+        Built on the first call and kept for the most recent content
+        list: a daily-update replay hands every user the same list.
+        """
+        cached = self._day_plans
+        if (
+            cached is not None
+            and len(cached[0]) == len(contents)
+            and all(a is b for a, b in zip(cached[0], contents))
+        ):
+            return cached[1]
+        plans: List[_DayPlan] = []
+        prev = self.initial
+        for content in contents:
+            prev = _DayPlan(
+                self.map_content(content), self.costs.results_per_entry, prev
+            )
+            plans.append(prev)
+        self._day_plans = (list(contents), plans)
+        return plans
 
     def map_content(self, content: CacheContent) -> List[Tuple]:
-        """Content entries as (qid, rid, score, record_bytes) tuples.
-
-        Cached per content object (daily-update experiments reuse each
-        day's mined content across every user).
-        """
-        cached = self._mapped.get(id(content))
-        if cached is not None and cached[0] is content:
-            return cached[1]
+        """Content entries as (qid, rid, score, record_bytes) tuples."""
         entries = []
         for entry in content.entries:
             qid = self._qid_of_str.get(entry.query)
@@ -350,7 +384,6 @@ class ReplayUniverse:
                     "from the replayed log"
                 )
             entries.append((qid, rid, entry.score, entry.record_bytes))
-        self._mapped[id(content)] = (content, entries)
         return entries
 
     def _ensure_personal_maps(self) -> None:
@@ -433,55 +466,109 @@ def _insert_slot(
     slots.append([rid, score, accessed])
 
 
-class _UserCacheState:
-    """Mutable per-user cache mirror: slots, registry, result database.
+class _DayPlan:
+    """One cache content merged once, shared read-only by every user.
 
-    Two construction modes: a *full* deep copy (daily updates mutate
-    global state) or a copy-on-write overlay over the shared
-    :class:`ReplayUniverse` (the common no-update path, where only
-    queries the user actually touches are ever copied).
+    ``slots`` holds each query's pairs as a cache with no retained pairs
+    holds them after loading the content: insertion order, the highest
+    score of a repeated pair, access flags clear.  ``results`` maps each
+    result to its first entry's record size, in first-seen order.
+    ``n_entries``/``n_slots`` size the hash table, and ``repeats``
+    counts the entries of the pairs the content lists more than once.
+
+    The rest is the diff from ``prev``, the plan a refresh replaces:
+    ``new_results`` (first-seen order, with record sizes),
+    ``gone_results`` and ``n_gone_queries``.  A query whose merged pairs
+    equal ``prev``'s reuses ``prev``'s list, so consecutive plans share
+    most of their slot lists.
     """
 
     __slots__ = (
-        "universe", "full", "slots", "base_slots", "db", "base_db",
-        "file_sizes", "file_entries", "garbage", "registry",
+        "slots", "results", "n_content", "n_entries", "n_slots", "repeats",
+        "new_results", "gone_results", "n_gone_queries",
     )
 
-    def __init__(self, universe: ReplayUniverse, full: bool) -> None:
+    def __init__(
+        self,
+        entries: List[Tuple],
+        width: int,
+        prev: Optional["_DayPlan"],
+    ) -> None:
+        slots: Dict[int, List[List]] = {}
+        results: Dict[int, int] = {}
+        for qid, rid, score, record_bytes in entries:
+            results.setdefault(rid, record_bytes)
+            _insert_slot(slots.setdefault(qid, []), rid, score, False)
+        prev_slots = prev.slots if prev is not None else {}
+        prev_results = prev.results if prev is not None else {}
+        for qid, merged in slots.items():
+            if prev_slots.get(qid) == merged:
+                slots[qid] = prev_slots[qid]
+        self.slots = slots
+        self.results = results
+        self.n_content = len(entries)
+        self.n_slots = sum(len(merged) for merged in slots.values())
+        self.n_entries = sum(
+            -(-len(merged) // width) for merged in slots.values()
+        )
+        self.repeats: Dict[Tuple[int, int], int] = {}
+        if self.n_slots != self.n_content:
+            counts = Counter((qid, rid) for qid, rid, _s, _b in entries)
+            self.repeats = {pair: n for pair, n in counts.items() if n > 1}
+        self.new_results = [
+            (rid, record_bytes) for rid, record_bytes in results.items()
+            if rid not in prev_results
+        ]
+        self.gone_results = [
+            rid for rid in prev_results if rid not in results
+        ]
+        self.n_gone_queries = sum(1 for qid in prev_slots if qid not in slots)
+
+
+class _UserCacheState:
+    """Mutable per-user cache: a copy-on-write overlay over a day plan.
+
+    ``base`` is the plan the user's cache last loaded (the universe's
+    initial content until the first daily refresh); ``slots`` holds only
+    the queries the user's clicks touched or a refresh retained.  A
+    static user shares the universe's database layout and stores only
+    its own additions; a daily user owns a copy, because refreshes drop
+    results from it.
+    """
+
+    __slots__ = (
+        "universe", "daily", "base", "slots", "db", "base_db",
+        "file_sizes", "file_entries", "garbage",
+    )
+
+    def __init__(self, universe: ReplayUniverse, daily: bool) -> None:
         self.universe = universe
-        self.full = full
-        if full:
-            self.slots = {
-                qid: [list(slot) for slot in slots]
-                for qid, slots in universe.slots0.items()
-            }
-            self.base_slots: Dict[int, List[List]] = {}
+        self.daily = daily
+        self.base = universe.initial
+        self.slots: Dict[int, List[List]] = {}
+        if daily:
             self.db = dict(universe.db0)
             self.base_db: Dict[int, Tuple[int, int, int]] = {}
-            self.registry = dict(universe.registry0)
         else:
-            self.slots = {}
-            self.base_slots = universe.slots0
             self.db = {}
             self.base_db = universe.db0
-            self.registry = {}
         self.file_sizes = list(universe.file_sizes0)
         self.file_entries = list(universe.file_entries0)
         self.garbage = 0
 
     def has_query(self, qid: int) -> bool:
-        return qid in self.slots or qid in self.base_slots
+        return qid in self.slots or qid in self.base.slots
 
     def slots_of(self, qid: int) -> Optional[List[List]]:
         found = self.slots.get(qid)
         if found is not None:
             return found
-        return self.base_slots.get(qid)
+        return self.base.slots.get(qid)
 
     def mutable_slots(self, qid: int) -> List[List]:
         found = self.slots.get(qid)
         if found is None:
-            base = self.base_slots.get(qid)
+            base = self.base.slots.get(qid)
             found = [list(slot) for slot in base] if base else []
             self.slots[qid] = found
         return found
@@ -504,6 +591,12 @@ class _UserCacheState:
         )
         self.file_entries[file_index] += 1
         return stored
+
+    def drop_result(self, rid: int) -> None:
+        """Mirror of :meth:`ResultDatabase.remove_result`."""
+        file_index, _offset, record_bytes = self.db.pop(rid)
+        self.file_entries[file_index] -= 1
+        self.garbage += record_bytes + self.universe.costs.header_entry_bytes
 
 
 # -- batch service ----------------------------------------------------------
@@ -541,7 +634,7 @@ def _serve_segment(
     if not personalized:
         latency = np.full(n, costs.miss_latency_s)
         energy = np.full(n, costs.miss_energy_j)
-        static = state.universe._static_cost if not state.full else None
+        static = state.universe._static_cost if not state.daily else None
         for g, u in enumerate(unique_q.tolist()):
             if not present0[g]:
                 continue
@@ -634,8 +727,6 @@ def _serve_segment(
                 clicked_slot[2] = True
             else:
                 slots.append([clicked, 1.0, True])
-    for i in sorted(int(j) for j in first_q_idx.tolist()):
-        state.registry[int(qid[i])] = True
 
     # Vectorized fetch costing over the hit rows.
     latency = np.full(n, costs.miss_latency_s)
@@ -697,98 +788,117 @@ def _static_hit_cost(
     return latency, energy
 
 
-# -- daily-update fallback seam ---------------------------------------------
+# -- daily refresh ----------------------------------------------------------
 
 
-def _serialized_table_len(state: _UserCacheState, costs) -> int:
-    """Wire-format length of the mirrored hash table (Section 5.4)."""
-    width = costs.results_per_entry
-    n_slots = 0
-    n_entries = 0
-    for slots in state.slots.values():
-        n_slots += len(slots)
+def _table_size(
+    base: _DayPlan, overlay: Dict[int, List[List]], width: int
+) -> Tuple[int, int]:
+    """(entries, slots) of ``base``'s table with ``overlay`` swapped in."""
+    n_entries = base.n_entries
+    n_slots = base.n_slots
+    for qid, slots in overlay.items():
+        shadowed = base.slots.get(qid)
+        if shadowed:
+            n_entries -= -(-len(shadowed) // width)
+            n_slots -= len(shadowed)
         n_entries += -(-len(slots) // width)
-    return (
-        costs.header_len
-        + costs.entry_head_len * n_entries
-        + costs.slot_len * n_slots
-    )
+        n_slots += len(slots)
+    return n_entries, n_slots
 
 
-def _refresh_state(
-    state: _UserCacheState, entries: List[Tuple]
-) -> UpdatePatch:
-    """Exact mirror of :meth:`CacheUpdateServer.refresh_with_content`.
+def _refresh_state(state: _UserCacheState, day: _DayPlan) -> UpdatePatch:
+    """:meth:`CacheUpdateServer.refresh_with_content` with ``day``'s
+    content, applied to a daily user's overlay.
 
-    Operates on the user's state between batch segments — the scalar
-    fallback seam for events that mutate cross-batch state.
+    ``day`` must follow the plan the state holds.  Every pair outside
+    the overlay comes from that plan with its access flag clear, so step
+    2 drops it and only overlay pairs can be retained.  Step 3 then
+    leaves ``day``'s merged slots on every query without a retained
+    pair, so ``day`` becomes the base and only the retained queries are
+    merged by hand.  The database held exactly the results the table
+    referenced, so it gains ``day``'s new results it lacks and loses the
+    results no retained pair or ``day`` references: ``day``'s gone
+    results and the overlay's own.
     """
     costs = state.universe.costs
-    bytes_uploaded = _serialized_table_len(state, costs)
+    width = costs.results_per_entry
+    prev_slots = state.base.slots
+    day_slots = day.slots
+    n_entries, n_slots = _table_size(state.base, state.slots, width)
+    bytes_uploaded = costs.table_bytes(n_entries, n_slots)
 
     # Step 2: prune never-accessed and decayed pairs.
-    pairs_removed = 0
-    retained = set()
-    removals: Dict[int, set] = {}
-    for qid in list(state.registry):
-        slots = state.slots.get(qid)
-        if not slots:
-            continue
-        for rid, score, accessed in slots:
-            if not accessed or score < costs.retention_min_score:
-                removals.setdefault(qid, set()).add(rid)
-                pairs_removed += 1
-            else:
-                retained.add((qid, rid))
-    for qid, dropped in removals.items():
-        kept = [slot for slot in state.slots[qid] if slot[0] not in dropped]
+    retained: Dict[int, List[List]] = {}
+    retained_results = set()
+    min_score = costs.retention_min_score
+    for qid, slots in state.slots.items():
+        kept = [slot for slot in slots if slot[2] and slot[1] >= min_score]
         if kept:
-            state.slots[qid] = kept
-        else:
-            del state.slots[qid]
+            retained[qid] = kept
+            retained_results.update(slot[0] for slot in kept)
+    pairs_removed = n_slots - sum(len(kept) for kept in retained.values())
 
-    # Step 3: merge the fresh popular set (max score wins).
-    pairs_added = 0
+    # Step 3: merge the fresh popular set (max score wins).  An entry
+    # adds a pair unless the pair was retained.
     results_added = 0
     patch_files: Dict[int, int] = {}
-    for qid, rid, score, record_bytes in entries:
+    for rid, record_bytes in day.new_results:
         if rid not in state.db:
-            stored = state.add_result(rid, record_bytes)
+            file_index = state.add_result(rid, record_bytes)[0]
             results_added += 1
-            patch_files[stored[0]] = (
-                patch_files.get(stored[0], 0)
+            patch_files[file_index] = (
+                patch_files.get(file_index, 0)
                 + record_bytes
                 + costs.header_entry_bytes
             )
-        if (qid, rid) not in retained:
-            pairs_added += 1
-        _insert_slot(state.slots.setdefault(qid, []), rid, score, False)
-        state.registry[qid] = True
+    pairs_added = day.n_content
+    for qid, kept in retained.items():
+        for rid, score, _accessed in day_slots.get(qid, ()):
+            for slot in kept:
+                if slot[0] == rid:
+                    slot[1] = max(slot[1], score)
+                    pairs_added -= day.repeats.get((qid, rid), 1)
+                    break
+            else:
+                kept.append([rid, score, False])
 
-    # Step 4: garbage-collect the registry and database, then compact.
-    queries_pruned = 0
-    for qid in list(state.registry):
-        if not state.slots.get(qid):
-            del state.registry[qid]
-            queries_pruned += 1
-    referenced = set()
+    # Step 4: count the queries left without pairs, garbage-collect the
+    # database, then compact.
+    queries_pruned = day.n_gone_queries
+    for qid in state.slots:
+        if qid in day_slots:
+            continue
+        if qid in retained and qid in prev_slots:
+            queries_pruned -= 1  # gone from the content, but retained
+        elif qid not in retained and qid not in prev_slots:
+            queries_pruned += 1  # the user's own query lost every pair
+    results_removed = 0
+    for rid in day.gone_results:
+        if rid not in retained_results:
+            state.drop_result(rid)
+            results_removed += 1
+    day_results = day.results
     for slots in state.slots.values():
         for slot in slots:
-            referenced.add(slot[0])
-    results_removed = 0
-    for rid in list(state.db):
-        if rid not in referenced:
-            file_index, _offset, record_bytes = state.db.pop(rid)
-            state.file_entries[file_index] -= 1
-            state.garbage += record_bytes + costs.header_entry_bytes
-            results_removed += 1
+            rid = slot[0]
+            if (
+                rid not in retained_results
+                and rid not in day_results
+                and rid in state.db
+            ):
+                state.drop_result(rid)
+                results_removed += 1
+    state.slots = retained
+    state.base = day
     compacted = None
     if state.garbage > costs.compaction_threshold * max(
         sum(state.file_sizes), 1
     ):
         compacted = _compact_state(state)
 
-    bytes_downloaded = _serialized_table_len(state, costs) + sum(
+    n_entries, n_slots = _table_size(day, retained, width)
+    bytes_downloaded = costs.table_bytes(n_entries, n_slots) + sum(
         patch_files.values()
     )
     return UpdatePatch(
@@ -856,14 +966,15 @@ def _replay_user_arrays(
     rkeys = events["result_key"]
 
     if not daily_contents:
-        state = _UserCacheState(universe, full=False)
+        state = _UserCacheState(universe, daily=False)
         return _serve_segment(state, qid, rid, rkeys, personalized)
 
-    # Daily updates: split the stream into day segments, applying the
-    # refresh mirror between them (including skipped days, in order),
-    # exactly as the scalar loop does.
-    mapped = [universe.map_content(c) for c in daily_contents]
-    state = _UserCacheState(universe, full=True)
+    # Daily updates: split the stream into day segments, refreshing
+    # between them (including skipped days, in order), exactly as the
+    # scalar loop does.
+    plans = universe.day_plans(daily_contents)
+    state = _UserCacheState(universe, daily=True)
+    tracer = get_tracer()
     timestamps = events["timestamp"]
     event_day = np.minimum(
         ((timestamps - t_start) // DAY_SECONDS).astype(np.int64),
@@ -879,7 +990,8 @@ def _replay_user_arrays(
     for lo, hi in zip(starts, stops):
         segment_day = int(event_day[lo])
         while day <= segment_day:
-            patch = _refresh_state(state, mapped[day])
+            with tracer.span("community_refresh", day=day):
+                patch = _refresh_state(state, plans[day])
             if patches_out is not None:
                 patches_out.append(patch)
             day += 1
@@ -990,8 +1102,10 @@ def replay_user_vectorized(
 
     ``patches`` is the per-refresh :class:`UpdatePatch` list when
     ``collect_patches`` and daily contents are given, else ``None`` —
-    the hook the fallback-seam tests use to compare update accounting
-    against the scalar :class:`CacheUpdateServer`.
+    the hook the refresh-parity tests use to compare update accounting
+    against the scalar :class:`CacheUpdateServer`.  Opens the scalar
+    loop's ``replay_user`` and ``community_refresh`` spans, with the
+    same attributes.
     """
     universe = _universe_for(log, content, mode)
     batch = _batch_for(log, t_start, t_end, seed)
@@ -999,12 +1113,21 @@ def replay_user_vectorized(
     patches: Optional[List[UpdatePatch]] = (
         [] if (collect_patches and daily_contents) else None
     )
-    hit, latency, energy = _replay_user_arrays(
-        universe, events, mode, daily_contents, t_start, patches
-    )
     if metrics is None:
         metrics = MetricsCollector()
-    metrics.extend(_emit_outcomes(universe, events, hit, latency, energy))
+    tracer = get_tracer()
+    daily_attr = {"daily_updates": True} if daily_contents else {}
+    with tracer.span(
+        "replay_user", user_id=user_id, n_events=len(events), **daily_attr
+    ) as span:
+        hit, latency, energy = _replay_user_arrays(
+            universe, events, mode, daily_contents, t_start, patches
+        )
+        metrics.extend(
+            _emit_outcomes(universe, events, hit, latency, energy)
+        )
+        if tracer.enabled:
+            span.set_attr("hit_rate", metrics.hit_rate)
     return metrics, patches
 
 
