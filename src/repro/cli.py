@@ -57,6 +57,11 @@ from repro.obs.manifest import ManifestRecorder
 #: Wrapper subcommands that run an artifact under the tracer.
 OBS_MODES = ("trace", "profile")
 
+#: Users per Table 6 class when ``--users`` is absent.
+DEFAULT_USERS = 40
+#: Replay artifacts whose default is smaller.
+ARTIFACT_USERS = {"daily-updates": 10, "baselines": 10}
+
 #: Online-serving verbs with their own parsers (see repro.serve.cli).
 SERVE_MODES = ("serve", "loadtest")
 
@@ -300,8 +305,9 @@ def build_parser(mode: Optional[str] = None) -> argparse.ArgumentParser:
     parser.add_argument(
         "--users",
         type=int,
-        default=40,
-        help="users per Table 6 class for replay figures (default 40)",
+        default=None,
+        help="users per Table 6 class for replay artifacts (default 40; "
+        "10 for daily-updates and baselines)",
     )
     parser.add_argument(
         "--workers",
@@ -395,6 +401,12 @@ def main(argv=None) -> int:
         mode = argv[0]
         argv = argv[1:]
     args = build_parser(mode).parse_args(argv)
+
+    def users_for(artifact: str) -> int:
+        if args.users is not None:
+            return args.users
+        return ARTIFACT_USERS.get(artifact, DEFAULT_USERS)
+
     commands: Dict[str, Callable[[], None]] = {
         "table1": _print_table1,
         "fig2": _print_fig2,
@@ -411,18 +423,20 @@ def main(argv=None) -> int:
         "table5": _print_table5,
         "fig16": _print_fig16,
         "table6": _print_table6,
-        "fig17": _make_fig17(args.users, args.workers, args.engine),
-        "fig18": _make_fig18(args.users, args.workers, args.engine),
-        "fig19": _make_fig19(args.users, args.workers, args.engine),
+        "fig17": _make_fig17(users_for("fig17"), args.workers, args.engine),
+        "fig18": _make_fig18(users_for("fig18"), args.workers, args.engine),
+        "fig19": _make_fig19(users_for("fig19"), args.workers, args.engine),
         "mobile-vs-desktop": lambda: print(characterization.mobile_vs_desktop()),
         "daily-updates": lambda: print(
             hitrate.daily_updates(
-                users_per_class=10, workers=args.workers, engine=args.engine
+                users_per_class=users_for("daily-updates"),
+                workers=args.workers,
+                engine=args.engine,
             )
         ),
         "baselines": lambda: print(
             ablations.baseline_hit_rates(
-                users_per_class=10, workers=args.workers
+                users_per_class=users_for("baselines"), workers=args.workers
             )
         ),
         "extensions": _print_extensions,
@@ -474,7 +488,11 @@ def main(argv=None) -> int:
     recorder = ManifestRecorder(
         args.artifact,
         config={
-            "users": args.users,
+            # Under 'all' without --users each artifact used its default.
+            "users": (
+                args.users if args.artifact == "all"
+                else users_for(args.artifact)
+            ),
             "workers": args.workers,
             "engine": args.engine,
             "mode": mode or "run",

@@ -95,3 +95,50 @@ class TestObservabilityCli:
         assert manifest["name"] == "table2"
         assert manifest["config"]["users"] == 40
         assert manifest["wall_time_s"] >= 0
+
+
+class TestUsersFlag:
+    """``--users`` reaches every replay artifact, each artifact keeps its
+    own default without it, and the manifest records the value used."""
+
+    @pytest.fixture
+    def users_seen(self, monkeypatch):
+        from repro.experiments import ablations, hitrate
+
+        seen = {}
+
+        def recorder(name):
+            def run(users_per_class, **kwargs):
+                seen[name] = users_per_class
+                return {}
+
+            return run
+
+        monkeypatch.setattr(hitrate, "daily_updates", recorder("daily-updates"))
+        monkeypatch.setattr(
+            ablations, "baseline_hit_rates", recorder("baselines")
+        )
+        monkeypatch.setattr(hitrate, "figure17", recorder("fig17"))
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["daily-updates"], 10),
+            (["daily-updates", "--users", "2", "--engine", "vectorized"], 2),
+            (["baselines"], 10),
+            (["baselines", "--users", "3"], 3),
+            (["fig17"], 40),
+            (["fig17", "--users", "5"], 5),
+        ],
+    )
+    def test_replay_artifact_users(
+        self, users_seen, tmp_path, capsys, argv, expected
+    ):
+        import json
+
+        path = str(tmp_path / "m.json")
+        assert main(argv + ["--manifest-out", path]) == 0
+        assert users_seen == {argv[0]: expected}
+        with open(path) as fh:
+            assert json.load(fh)["config"]["users"] == expected
