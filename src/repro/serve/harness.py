@@ -31,6 +31,7 @@ from repro.pocketsearch.content import (
     ContentPolicy,
     PAPER_OPERATING_POINT,
     build_cache_content,
+    result_record_bytes,
 )
 from repro.pocketsearch.engine import PocketSearchEngine
 from repro.serve.backends import DailyUpdateBackend, SearchBackend
@@ -47,7 +48,6 @@ from repro.sim.replay import (
     UserReplayResult,
     _daily_contents,
     _new_collector,
-    _record_bytes,
     make_cache,
     select_replay_users,
 )
@@ -495,7 +495,7 @@ async def _serve_mode(
                         clicked_url=stream.result_url(
                             int(stream.result_keys[i])
                         ),
-                        record_bytes=_record_bytes(
+                        record_bytes=result_record_bytes(
                             stream, int(stream.result_keys[i])
                         ),
                         navigational=bool(stream.navigational[i]),

@@ -30,6 +30,7 @@ import numpy as np
 from repro.edge.placement import assign_device_regions
 from repro.logs.generator import DIURNAL_WEIGHTS, SearchLog
 from repro.logs.schema import MONTH_SECONDS
+from repro.pocketsearch.content import result_record_bytes
 from repro.serve.requests import ServeRequest
 
 __all__ = [
@@ -184,13 +185,6 @@ class _DeviceScript:
         )
 
 
-def _record_bytes(log: SearchLog, result_key: int) -> int:
-    community = log.community
-    if result_key < community.n_results:
-        return community.result_records[result_key].record_bytes
-    return 500
-
-
 def _device_scripts(
     month_log: SearchLog, max_devices: Optional[int]
 ) -> Dict[int, _DeviceScript]:
@@ -214,7 +208,7 @@ def _device_scripts(
                 key=month_log.query_string(qkey),
                 timestamp=float(month_log.timestamps[i]),
                 clicked_url=month_log.result_url(rkey),
-                record_bytes=_record_bytes(month_log, rkey),
+                record_bytes=result_record_bytes(month_log, rkey),
                 navigational=bool(month_log.navigational[i]),
             )
         )

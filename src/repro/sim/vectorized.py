@@ -50,7 +50,7 @@ import numpy as np
 from repro.logs.generator import SearchLog
 from repro.logs.schema import UserClass
 from repro.obs.trace import get_tracer
-from repro.pocketsearch.content import CacheContent
+from repro.pocketsearch.content import CacheContent, result_record_bytes
 from repro.pocketsearch.database import (
     DEFAULT_N_FILES,
     DIRECTORY_SCAN_S_PER_FILE,
@@ -418,22 +418,19 @@ class ReplayUniverse:
         return rid
 
     def record_bytes_of(self, rkeys: np.ndarray) -> np.ndarray:
-        """Stored size per clicked result (community mined size, else 500).
+        """Stored size per clicked result (:func:`result_record_bytes`).
 
         Resolved per distinct result key through a cache: community sizes
         are a computed property of ~1M records at paper scale, so an
         eager table would cost more than every replay that uses it.
         """
-        records = self.log.community.result_records
-        n_results = self.n_results
+        log = self.log
         cache = self._rb_of_rkey
         out = np.empty(len(rkeys), dtype=np.int64)
         for i, rkey in enumerate(rkeys.tolist()):
             rb = cache.get(rkey)
             if rb is None:
-                rb = (
-                    records[rkey].record_bytes if rkey < n_results else 500
-                )
+                rb = result_record_bytes(log, rkey)
                 cache[rkey] = rb
             out[i] = rb
         return out

@@ -1,10 +1,14 @@
-"""Vectorized/scalar fallback-seam coverage.
+"""Vectorized/scalar refresh-seam coverage.
 
-The vectorized engine batch-evaluates refresh-free segments and falls
-back to an exact scalar mirror of ``CacheUpdateServer.refresh_with_content``
-at daily-update boundaries.  These tests pin the seam itself:
+The vectorized engine batch-evaluates the refresh-free segments of a
+user's stream.  At each daily-update boundary it swaps in that day's
+per-day plan (the day's mined content, merged once per universe, with
+its diff from the day before) and refreshes only the user's
+copy-on-write overlay plus the day's churn, in place of
+``CacheUpdateServer.refresh_with_content`` on a whole cache.  These
+tests pin the seam itself:
 
-* a mid-stream daily update forces a segment flush whose
+* a mid-stream daily update ends a segment, and its
   :class:`UpdatePatch` accounting — byte counts, pair/result add/remove
   counts, pruned queries, compaction costs — is identical to driving the
   real scalar server against a real cache;
@@ -16,14 +20,13 @@ at daily-update boundaries.  These tests pin the seam itself:
 import pytest
 
 from repro.logs.schema import MONTH_SECONDS
-from repro.pocketsearch.content import build_cache_content
+from repro.pocketsearch.content import build_cache_content, result_record_bytes
 from repro.pocketsearch.engine import PocketSearchEngine
 from repro.pocketsearch.manager import CacheUpdateServer
 from repro.sim.replay import (
     CacheMode,
     ReplayConfig,
     _daily_contents,
-    _record_bytes,
     make_cache,
     select_replay_users,
 )
@@ -76,7 +79,7 @@ def _scalar_patches(log, content, daily, uid, mode):
         result = engine.serve_query(
             query=stream.query_string(qkey),
             clicked_url=stream.result_url(rkey),
-            record_bytes=_record_bytes(stream, rkey),
+            record_bytes=result_record_bytes(stream, rkey),
             navigational=bool(stream.navigational[i]),
             timestamp=t,
         )
@@ -164,7 +167,7 @@ class TestDegenerateBatches:
         expected = engine.serve_query(
             query=stream.query_string(qkey),
             clicked_url=stream.result_url(rkey),
-            record_bytes=_record_bytes(stream, rkey),
+            record_bytes=result_record_bytes(stream, rkey),
             navigational=bool(stream.navigational[0]),
             timestamp=t0,
         ).outcome
