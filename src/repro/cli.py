@@ -466,6 +466,13 @@ def main(argv=None) -> int:
             return 2
         runner = command
 
+    for flag, value in (("--workers", args.workers), ("--users", args.users)):
+        if value is not None and value <= 0:
+            print(
+                f"repro: {flag} must be positive, got {value}", file=sys.stderr
+            )
+            return 2
+
     tracer = None
     if mode in OBS_MODES:
         if args.trace_capacity <= 0:
@@ -479,12 +486,6 @@ def main(argv=None) -> int:
 
         clear_replay_cache()  # memoized replays would record no spans
         tracer = obs_trace.enable(capacity=args.trace_capacity)
-    if args.workers <= 0:
-        print(
-            f"repro: --workers must be positive, got {args.workers}",
-            file=sys.stderr,
-        )
-        return 2
     recorder = ManifestRecorder(
         args.artifact,
         config={

@@ -142,3 +142,20 @@ class TestUsersFlag:
         assert users_seen == {argv[0]: expected}
         with open(path) as fh:
             assert json.load(fh)["config"]["users"] == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["baselines", "--users", "0"],
+            ["daily-updates", "--users", "0"],
+            ["fig17", "--users", "-1"],
+        ],
+    )
+    def test_non_positive_users_rejected(self, users_seen, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"repro: --users must be positive, got {argv[-1]}\n"
+        )
+        assert captured.out == ""
+        assert users_seen == {}
