@@ -86,6 +86,17 @@ class TestSelectionWalk:
         )
         assert all(0 < e.score <= 1 for e in content.entries)
 
+    def test_scores_are_volume_over_query_total(self, small_log):
+        month = small_log.month(0)
+        totals = {}
+        for triplet in triplets_from_log(month):
+            totals[triplet.query] = totals.get(triplet.query, 0) + triplet.volume
+        content = build_cache_content(
+            month, ContentPolicy(target_coverage=0.9)
+        )
+        for e in content.entries:
+            assert e.score == e.volume / totals[e.query]
+
     def test_empty_log(self, small_log):
         content = build_cache_content(
             small_log.window(1e12, 2e12), ContentPolicy(max_pairs=10)
