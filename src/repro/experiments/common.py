@@ -23,21 +23,38 @@ DEFAULT_SEED = 23
 DEFAULT_MONTHS = 2
 
 
-@lru_cache(maxsize=4)
+# Each memoized input passes its arguments positionally to an ``lru_cache``d
+# builder: ``lru_cache`` keys on the call's spelling, so ``f()``,
+# ``f(seed=23)`` and ``f(23)`` would otherwise build one value three times.
+
+
 def default_log(months: int = DEFAULT_MONTHS, seed: int = DEFAULT_SEED) -> SearchLog:
     """The memoized default mobile log."""
+    return _default_log(months, seed)
+
+
+@lru_cache(maxsize=4)
+def _default_log(months: int, seed: int) -> SearchLog:
     return generate_logs(config=GeneratorConfig(months=months, seed=seed))
 
 
-@lru_cache(maxsize=2)
 def desktop_log(seed: int = 29) -> SearchLog:
     """The memoized desktop-mode comparison log."""
+    return _desktop_log(seed)
+
+
+@lru_cache(maxsize=2)
+def _desktop_log(seed: int) -> SearchLog:
     return generate_logs(config=GeneratorConfig(months=1, seed=seed, desktop=True))
 
 
-@lru_cache(maxsize=2)
 def default_content(seed: int = DEFAULT_SEED) -> CacheContent:
     """Community cache content mined from month 0 of the default log."""
+    return _default_content(seed)
+
+
+@lru_cache(maxsize=2)
+def _default_content(seed: int) -> CacheContent:
     return build_cache_content(default_log(seed=seed).month(0), PAPER_OPERATING_POINT)
 
 

@@ -18,7 +18,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.logs.popularity import CommunityModel
+from repro.logs.popularity import CommunityModel, PairGroups
 from repro.logs.schema import MONTH_SECONDS, QueryEvent
 from repro.logs.users import PopulationConfig, UserBehavior, UserPopulation
 from repro.logs.vocabulary import Vocabulary, VocabularyConfig
@@ -254,6 +254,8 @@ def generate_logs(
     unique_counter = 0
 
     n_pairs = community.n_pairs
+    siblings = PairGroups.siblings(community)
+    variants = PairGroups.variants(community)
     for user in population.users:
         staples = _draw_staples(user, community, rng, config.desktop)
         for m in range(config.months):
@@ -263,6 +265,8 @@ def generate_logs(
                 staples,
                 volume,
                 community,
+                siblings,
+                variants,
                 rng,
                 config,
                 unique_counter,
@@ -272,6 +276,9 @@ def generate_logs(
             user_col.append(np.full(volume, user.user_id, dtype=np.int64))
             time_col.append(times)
             pair_col.append(pairs)
+    # The draws were the groupings' only use: free them before the key
+    # columns are allocated.
+    del siblings, variants
 
     user_ids = np.concatenate(user_col)
     timestamps = np.concatenate(time_col)
@@ -364,6 +371,8 @@ def _draw_month_pairs(
     staples: np.ndarray,
     volume: int,
     community: CommunityModel,
+    siblings: PairGroups,
+    variants: PairGroups,
     rng: np.random.Generator,
     config: GeneratorConfig,
     unique_counter: int,
@@ -389,25 +398,13 @@ def _draw_month_pairs(
         # probability an event uses a misspelling/shortcut sibling of the
         # staple pair (same destination, different query string).
         switch = rng.random(n_routine) < ALIAS_SWITCH_PROB
-        for j in np.flatnonzero(switch):
-            sibling_ids, sibling_probs = community.pair_siblings(
-                int(routine_pairs[j])
-            )
-            if len(sibling_ids) > 1:
-                routine_pairs[j] = sibling_ids[
-                    rng.choice(len(sibling_ids), p=sibling_probs)
-                ]
+        routine_pairs[switch] = siblings.redraw(routine_pairs[switch], rng)
         # Independently, the user may click a different result for the
         # same staple query (the "michael jackson" two-destination case).
         result_switch = rng.random(n_routine) < RESULT_SWITCH_PROB
-        for j in np.flatnonzero(result_switch):
-            variant_ids, variant_probs = community.pair_result_variants(
-                int(routine_pairs[j])
-            )
-            if len(variant_ids) > 1:
-                routine_pairs[j] = variant_ids[
-                    rng.choice(len(variant_ids), p=variant_probs)
-                ]
+        routine_pairs[result_switch] = variants.redraw(
+            routine_pairs[result_switch], rng
+        )
         pairs[routine_mask] = routine_pairs
     if n_explore:
         tail_mask = rng.random(n_explore) < user.unique_tail_prob

@@ -77,8 +77,6 @@ class CommunityModel:
         #: pair ids sorted by descending probability (popularity rank order)
         self.rank_order = np.argsort(self.pair_prob)[::-1]
         self._cdf_cache: dict = {}
-        self._sibling_index: dict = {}
-        self._variant_index: dict = {}
 
     # -- basic shape ----------------------------------------------------------
 
@@ -175,47 +173,6 @@ class CommunityModel:
             for p in order
         ]
 
-    def pair_siblings(self, pair_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Pairs reaching the same result within the same topic.
-
-        Returns (sibling pair ids, normalized probabilities), including
-        ``pair_id`` itself.  These are the alternative phrasings/
-        misspellings a user may type for the same staple destination.
-        """
-        key = (int(self.pair_topic[pair_id]), int(self.pair_result[pair_id]))
-        siblings = self._sibling_index.get(key)
-        if siblings is None:
-            mask = (self.pair_topic == self.pair_topic[pair_id]) & (
-                self.pair_result == self.pair_result[pair_id]
-            )
-            ids = np.flatnonzero(mask)
-            probs = self.pair_prob[ids]
-            probs = probs / probs.sum()
-            siblings = (ids, probs)
-            self._sibling_index[key] = siblings
-        return siblings
-
-    def pair_result_variants(self, pair_id: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Pairs with the same topic and query but different results.
-
-        Returns (variant pair ids, normalized probabilities), including
-        ``pair_id`` itself.  These are the alternative results a user may
-        click for the same staple query ("michael jackson" -> imdb on one
-        visit, azlyrics on another).
-        """
-        key = (int(self.pair_topic[pair_id]), int(self.pair_query[pair_id]))
-        variants = self._variant_index.get(key)
-        if variants is None:
-            mask = (self.pair_topic == self.pair_topic[pair_id]) & (
-                self.pair_query == self.pair_query[pair_id]
-            )
-            ids = np.flatnonzero(mask)
-            probs = self.pair_prob[ids]
-            probs = probs / probs.sum()
-            variants = (ids, probs)
-            self._variant_index[key] = variants
-        return variants
-
     def describe_pair(self, pair_id: int) -> Tuple[str, str, float]:
         """(query, url, probability) of one pair."""
         return (
@@ -223,3 +180,111 @@ class CommunityModel:
             self.result_urls[self.pair_result[pair_id]],
             float(self.pair_prob[pair_id]),
         )
+
+
+#: ``ndarray.sum`` adds fewer terms than this one by one; from this many
+#: on it adds them in numpy's pairwise blocks.
+_PAIRWISE_SUM_MIN = 8
+
+
+class PairGroups:
+    """Community pairs grouped by (topic, key), with each group's cdf.
+
+    Attributes:
+        members: pair ids group by group, ascending within a group.
+        cdf: per position of ``members``, the within-group cdf that
+            ``rng.choice(len(ids), p=p[ids] / p[ids].sum())`` builds.
+        group: group index per pair id.
+        starts, sizes: per group, its first position in ``members`` and
+            its number of pairs.
+        totals: per group, ``p[ids].sum()`` as ``ndarray.sum`` adds it.
+    """
+
+    def __init__(
+        self, pair_topic: np.ndarray, pair_key: np.ndarray, pair_prob: np.ndarray
+    ) -> None:
+        members = np.lexsort((pair_key, pair_topic))
+        topic, key = pair_topic[members], pair_key[members]
+        first = np.ones(len(members), dtype=bool)
+        first[1:] = (topic[1:] != topic[:-1]) | (key[1:] != key[:-1])
+        starts = np.flatnonzero(first)
+        sizes = np.diff(np.append(starts, len(members)))
+        group_at = np.cumsum(first) - 1
+        offset = np.arange(len(members)) - starts[group_at]
+        last = starts + sizes - 1
+
+        def running_sums(values: np.ndarray) -> np.ndarray:
+            # Within each group, the prefix sums ``cumsum`` computes.
+            out = values.copy()
+            for j in range(1, int(sizes.max())):
+                at = np.flatnonzero(offset == j)
+                out[at] += out[at - 1]
+            return out
+
+        prob = pair_prob[members]
+        totals = running_sums(prob)[last]
+        for g in np.flatnonzero(sizes >= _PAIRWISE_SUM_MIN):
+            totals[g] = prob[starts[g] : last[g] + 1].sum()
+        probs = prob / totals[group_at]
+        cdf = running_sums(probs)
+        cdf /= cdf[last][group_at]
+
+        self.members = members
+        self.cdf = cdf
+        self.group = np.empty_like(group_at)
+        self.group[members] = group_at
+        self.starts = starts
+        self.sizes = sizes
+        self.totals = totals
+        self._pair_prob = pair_prob
+
+    @classmethod
+    def siblings(cls, community: CommunityModel) -> "PairGroups":
+        """Pairs reaching the same result within the same topic.
+
+        These are the alternative phrasings and misspellings a user may
+        type for one staple destination.
+        """
+        return cls(community.pair_topic, community.pair_result, community.pair_prob)
+
+    @classmethod
+    def variants(cls, community: CommunityModel) -> "PairGroups":
+        """Pairs with the same topic and query but different results.
+
+        These are the alternative results a user may click for one staple
+        query ("michael jackson" -> imdb on one visit, azlyrics on another).
+        """
+        return cls(community.pair_topic, community.pair_query, community.pair_prob)
+
+    def group_of(self, pair_id: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(pair ids, normalized probabilities) of ``pair_id``'s group.
+
+        The group includes ``pair_id`` itself.
+        """
+        g = self.group[pair_id]
+        ids = self.members[self.starts[g] : self.starts[g] + self.sizes[g]]
+        return ids, self._pair_prob[ids] / self.totals[g]
+
+    def redraw(self, pairs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Each of ``pairs`` re-drawn from its group's distribution.
+
+        A pair alone in its group is kept and consumes no draw; every other
+        pair consumes one ``rng.random()`` double, in order.  The result
+        and the generator state it leaves equal a loop over the same pairs
+        of ``ids, probs = self.group_of(pair)`` and
+        ``ids[rng.choice(len(ids), p=probs)]``.
+        """
+        out = pairs.copy()
+        g = self.group[pairs]
+        multi = np.flatnonzero(self.sizes[g] > 1)
+        if not len(multi):
+            return out
+        starts, sizes = self.starts[g[multi]], self.sizes[g[multi]]
+        u = rng.random(len(multi))
+        # ``searchsorted(cdf, u, side="right")`` within each group: the
+        # count of its cdf entries <= u.  Columns past a group's end repeat
+        # its last entry, 1.0, which no u in [0, 1) reaches.
+        cols = np.minimum(np.arange(int(sizes.max())), sizes[:, None] - 1)
+        picks = (self.cdf[starts[:, None] + cols] <= u[:, None]).sum(axis=1)
+        out[multi] = self.members[starts + picks]
+        return out

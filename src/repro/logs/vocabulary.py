@@ -104,6 +104,11 @@ _NON_NAV_ALIAS_PATTERNS = (
 )
 
 
+def _snippet_bytes(rng: np.random.Generator) -> int:
+    """A result's snippet size: N(500, 60) bytes clipped to [300, 700]."""
+    return int(min(max(rng.normal(500, 60), 300), 700))
+
+
 def _zipf_weights(n: int, s: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)
     w = ranks**-s
@@ -198,14 +203,14 @@ class Vocabulary:
             QueryDef(text=q, share=s, navigational=is_navigational(q, url))
             for q, s in zip(names, shares)
         ]
-        snippet = int(np.clip(rng.normal(500, 60), 300, 700))
+        snippet = _snippet_bytes(rng)
         results = [
             ResultDef(url=url, title=f"Site {topic_id}", snippet_bytes=snippet, share=1.0)
         ]
         if rng.random() < config.nav_extra_result_p:
             # Popular sites are also reached through a secondary page
             # (login or mobile frontend) that users click directly.
-            snippet2 = int(np.clip(rng.normal(500, 60), 300, 700))
+            snippet2 = _snippet_bytes(rng)
             results = [
                 ResultDef(url=url, title=f"Site {topic_id}", snippet_bytes=snippet, share=0.55),
                 ResultDef(
@@ -250,7 +255,7 @@ class Vocabulary:
         r_norm = sum(r_raw)
         results = []
         for k in range(n_results):
-            snippet = int(np.clip(rng.normal(500, 60), 300, 700))
+            snippet = _snippet_bytes(rng)
             if shared_url is not None and k == 1:
                 url, title = shared_url, f"Shared site result"
             else:

@@ -5,6 +5,7 @@ import pytest
 from repro.experiments.common import (
     default_content,
     default_log,
+    desktop_log,
     format_table,
 )
 
@@ -31,6 +32,19 @@ class TestMemoization:
 
     def test_default_content_cached(self):
         assert default_content() is default_content()
+
+    @pytest.mark.parametrize(
+        "memoized, default_args",
+        [(default_log, (2, 23)), (desktop_log, (29,)), (default_content, (23,))],
+        ids=["default_log", "desktop_log", "default_content"],
+    )
+    def test_one_entry_per_value(self, memoized, default_args):
+        # The default, keyword and positional spellings of one call share
+        # one memo entry.
+        seed = default_args[-1]
+        value = memoized()
+        assert memoized(seed=seed) is value
+        assert memoized(*default_args) is value
 
     def test_content_covers_operating_point(self):
         content = default_content()

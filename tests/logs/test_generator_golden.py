@@ -1,0 +1,113 @@
+"""Pinned digests of the generated synthetic logs.
+
+Every downstream output (replay, serve, flight bundles) starts from
+``generate_logs``, so its output is pinned column by column: the sha256 of
+each ``SearchLog`` column (dtype and bytes) and of the sorted unique
+(personal) names, for the small test log, ``default_log()`` and
+``desktop_log()``.  A change to the generator's arithmetic or to the order
+in which it consumes its random stream moves a digest.
+
+Regenerate the fixture only after an intended change to the logs::
+
+    PYTHONPATH=src python -m tests.logs.test_generator_golden
+
+Print the digests of the paper-scale two-month log (too slow for the
+suite)::
+
+    PYTHONPATH=src python -m tests.logs.test_generator_golden --paper-scale
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+import pytest
+
+from repro.experiments.common import default_log, desktop_log
+
+FIXTURE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "fixtures", "generator_golden.json"
+)
+
+COLUMNS = (
+    "user_ids",
+    "timestamps",
+    "pair_ids",
+    "query_keys",
+    "result_keys",
+    "navigational",
+    "device_codes",
+)
+
+
+def log_digests(log) -> dict:
+    """sha256 of every column and of the sorted unique names of ``log``."""
+    digests = {"n_events": log.n_events}
+    for name in COLUMNS:
+        column = getattr(log, name)
+        h = hashlib.sha256(column.dtype.str.encode())
+        h.update(column.tobytes())
+        digests[name] = h.hexdigest()
+    names = sorted(log._unique_names.items())
+    digests["unique_names"] = hashlib.sha256(
+        json.dumps(names).encode()
+    ).hexdigest()
+    return digests
+
+
+def _small_log():
+    # The conftest universe, rebuilt here so the module also runs as a
+    # script.
+    from tests.conftest import SMALL_LOG_CONFIG, SMALL_POPULATION, SMALL_VOCAB
+    from repro.logs.generator import generate_logs
+    from repro.logs.popularity import CommunityModel
+    from repro.logs.users import UserPopulation
+    from repro.logs.vocabulary import Vocabulary
+
+    return generate_logs(
+        community=CommunityModel(Vocabulary.build(SMALL_VOCAB)),
+        population=UserPopulation.build(SMALL_POPULATION),
+        config=SMALL_LOG_CONFIG,
+    )
+
+
+LOGS = {
+    "small": _small_log,
+    "default_seed23": default_log,
+    "desktop_seed29": desktop_log,
+}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    with open(FIXTURE) as fh:
+        return json.load(fh)
+
+
+class TestGeneratorGolden:
+    def test_small_log(self, golden, small_log):
+        assert log_digests(small_log) == golden["small"]
+
+    def test_default_log(self, golden):
+        assert log_digests(default_log()) == golden["default_seed23"]
+
+    def test_desktop_log(self, golden):
+        assert log_digests(desktop_log()) == golden["desktop_seed29"]
+
+
+def _main(argv) -> None:
+    if argv == ["--paper-scale"]:
+        from repro.experiments.scale import paper_scale_log
+
+        print(json.dumps(log_digests(paper_scale_log(months=2)), indent=2))
+        return
+    doc = {name: log_digests(build()) for name, build in LOGS.items()}
+    with open(FIXTURE, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {os.path.abspath(FIXTURE)}")
+
+
+if __name__ == "__main__":
+    _main(sys.argv[1:])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.logs.popularity import PairGroups
 from repro.logs.schema import Triplet
 
 
@@ -83,7 +84,7 @@ class TestSiblingsAndVariants:
     def test_siblings_share_result(self, small_community):
         cm = small_community
         pair = int(cm.rank_order[0])
-        ids, probs = cm.pair_siblings(pair)
+        ids, probs = PairGroups.siblings(cm).group_of(pair)
         assert pair in ids.tolist()
         assert probs.sum() == pytest.approx(1.0)
         assert len(set(cm.pair_result[ids].tolist())) == 1
@@ -91,7 +92,7 @@ class TestSiblingsAndVariants:
     def test_variants_share_query(self, small_community):
         cm = small_community
         pair = int(cm.rank_order[0])
-        ids, probs = cm.pair_result_variants(pair)
+        ids, probs = PairGroups.variants(cm).group_of(pair)
         assert pair in ids.tolist()
         assert probs.sum() == pytest.approx(1.0)
         assert len(set(cm.pair_query[ids].tolist())) == 1
