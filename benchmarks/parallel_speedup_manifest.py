@@ -12,8 +12,10 @@ classes), the population the acceptance criterion targets::
     PYTHONPATH=src python benchmarks/parallel_speedup_manifest.py \
         --workers 4 --out manifests/parallel_speedup.json
 
-On an N-core machine the expected speedup approaches min(N, workers);
-on fewer cores the run still proves determinism, just not speed.
+Each worker unpickles the log once, and on the batch engine a user
+costs milliseconds, so sharding pays only with many cores (a 2-vCPU
+host measured no speed-up at ``--workers 2``); on any host the run
+still proves determinism.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """Scalar-vs-vectorized replay-core throughput, recorded in a manifest.
 
 Builds the replay inputs once — the log, the mined cache content, and
-the Table 6 user selection — then times each engine's per-user replay
-loop over the same inputs, exactly the work ``run_replay`` fans out to
-workers.  The vectorized engine's process-level caches are cleared
-before its run, so its wall time includes the columnar batch build and
-universe construction (a cold start, the honest number).
+the Table 6 user selection — then times two per-user loops over the
+same inputs.  The vectorized side is ``replay_one_user``, exactly the
+work ``run_replay`` fans out to workers; its process-level caches are
+cleared first, so its wall time includes the columnar batch build and
+universe construction (a cold start, the honest number).  The scalar
+side calls the per-event ``replay_user`` directly, the path
+``replay_one_user`` takes only while the tracer records; the tracer
+stays off here, so no span cost lands on the scalar number.
 
 The headline metric is ``speedup_x`` = vectorized events/sec over
 scalar events/sec.  At paper scale (10k-user population, ~1.5M-event
@@ -31,26 +34,55 @@ from repro.experiments.scale import paper_scale_log
 from repro.logs.schema import MONTH_SECONDS
 from repro.obs.manifest import ManifestRecorder
 from repro.pocketsearch.content import build_cache_content
+from repro.pocketsearch.engine import PocketSearchEngine
+from repro.sim.metrics import MetricsCollector
 from repro.sim.replay import (
     CacheMode,
     ReplayConfig,
+    UserReplayResult,
+    derive_user_seed,
+    make_cache,
     replay_one_user,
+    replay_user,
     select_replay_users,
 )
 from repro.sim.vectorized import clear_caches
 
 
-def _timed_replay(log, content, config, selected, t_start, t_end):
-    """Run every selected user through ``replay_one_user``; return
-    (wall seconds, user results) for the engine named in ``config``."""
-    if config.engine == "vectorized":
+def _scalar_user(log, content, config, user_class, user_id, t_start, t_end):
+    """One user through the per-event path, with ``replay_one_user``'s
+    fresh phone and bounded collector."""
+    engine = PocketSearchEngine(make_cache(content, CacheMode.FULL))
+    metrics = MetricsCollector(
+        bounded=True, reservoir_seed=derive_user_seed(config.seed, user_id)
+    )
+    replay_user(engine, log, user_id, t_start, t_end, metrics)
+    return UserReplayResult(
+        user_id=user_id, user_class=user_class, metrics=metrics
+    )
+
+
+def _vectorized_user(
+    log, content, config, user_class, user_id, t_start, t_end
+):
+    return replay_one_user(
+        log, content, [], config, CacheMode.FULL,
+        user_class, user_id, t_start, t_end,
+    )
+
+
+ENGINES = {"scalar": _scalar_user, "vectorized": _vectorized_user}
+
+
+def _timed_replay(engine, log, content, config, selected, t_start, t_end):
+    """Run every selected user through ``engine``'s per-user function;
+    return (wall seconds, user results)."""
+    serve = ENGINES[engine]
+    if engine == "vectorized":
         clear_caches()  # cold: charge batch+universe construction to the run
     t0 = time.perf_counter()
     users = [
-        replay_one_user(
-            log, content, [], config, CacheMode.FULL,
-            user_class, user_id, t_start, t_end,
-        )
+        serve(log, content, config, user_class, user_id, t_start, t_end)
         for user_class, user_ids in selected.items()
         for user_id in user_ids
     ]
@@ -69,14 +101,16 @@ def run(
         if scale == "paper"
         else default_log(seed=seed)
     )
-    base = ReplayConfig(
+    config = ReplayConfig(
         users_per_class=users_per_class, seed=seed, bounded_metrics=True
     )
-    content = build_cache_content(log.month(base.build_month), base.policy)
-    selected = select_replay_users(
-        log, base.replay_month, users_per_class, seed
+    content = build_cache_content(
+        log.month(config.build_month), config.policy
     )
-    t_start = base.replay_month * MONTH_SECONDS
+    selected = select_replay_users(
+        log, config.replay_month, users_per_class, seed
+    )
+    t_start = config.replay_month * MONTH_SECONDS
     t_end = t_start + MONTH_SECONDS
 
     recorder = ManifestRecorder(
@@ -92,15 +126,9 @@ def run(
     with recorder:
         results = {}
         walls = {}
-        for engine in ("scalar", "vectorized"):
-            config = ReplayConfig(
-                users_per_class=users_per_class,
-                seed=seed,
-                bounded_metrics=True,
-                engine=engine,
-            )
+        for engine in ENGINES:
             walls[engine], results[engine] = _timed_replay(
-                log, content, config, selected, t_start, t_end
+                engine, log, content, config, selected, t_start, t_end
             )
 
         identical = all(
@@ -129,7 +157,7 @@ def run(
         recorder.add_metric("identical", identical)
 
     path = recorder.manifest.write(out)
-    for engine in ("scalar", "vectorized"):
+    for engine in ENGINES:
         print(
             f"{engine:>10}: {len(results[engine])} users, "
             f"{n_events} events in {walls[engine]:.3f}s "

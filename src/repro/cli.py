@@ -239,13 +239,9 @@ def _print_table6() -> None:
     )
 
 
-def _make_fig17(
-    users: int, workers: int, engine: str
-) -> Callable[[], None]:
+def _make_fig17(users: int, workers: int) -> Callable[[], None]:
     def run() -> None:
-        f17 = hitrate.figure17(
-            users_per_class=users, workers=workers, engine=engine
-        )
+        f17 = hitrate.figure17(users_per_class=users, workers=workers)
         rows = [
             [mode] + [f"{d[k]:.3f}" for k in ("overall", "low", "medium", "high", "extreme")]
             for mode, d in f17.items()
@@ -255,13 +251,9 @@ def _make_fig17(
     return run
 
 
-def _make_fig18(
-    users: int, workers: int, engine: str
-) -> Callable[[], None]:
+def _make_fig18(users: int, workers: int) -> Callable[[], None]:
     def run() -> None:
-        f18 = hitrate.figure18(
-            users_per_class=users, workers=workers, engine=engine
-        )
+        f18 = hitrate.figure18(users_per_class=users, workers=workers)
         for window, modes in f18.items():
             for mode, by_class in modes.items():
                 values = " ".join(f"{v:.3f}" for v in by_class.values())
@@ -270,13 +262,9 @@ def _make_fig18(
     return run
 
 
-def _make_fig19(
-    users: int, workers: int, engine: str
-) -> Callable[[], None]:
+def _make_fig19(users: int, workers: int) -> Callable[[], None]:
     def run() -> None:
-        f19 = hitrate.figure19(
-            users_per_class=users, workers=workers, engine=engine
-        )
+        f19 = hitrate.figure19(users_per_class=users, workers=workers)
         rows = [
             [c, f"{s['navigational']:.3f}", f"{s['non_navigational']:.3f}"]
             for c, s in f19.items()
@@ -315,13 +303,6 @@ def build_parser(mode: Optional[str] = None) -> argparse.ArgumentParser:
         default=1,
         help="worker processes for replay fan-outs (default 1 = serial; "
         "results are bit-identical for any value)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("scalar", "vectorized"),
-        default="scalar",
-        help="replay engine for replay figures (vectorized batch-evaluates "
-        "each user's stream; results are bit-identical)",
     )
     parser.add_argument(
         "--manifest-out",
@@ -423,15 +404,14 @@ def main(argv=None) -> int:
         "table5": _print_table5,
         "fig16": _print_fig16,
         "table6": _print_table6,
-        "fig17": _make_fig17(users_for("fig17"), args.workers, args.engine),
-        "fig18": _make_fig18(users_for("fig18"), args.workers, args.engine),
-        "fig19": _make_fig19(users_for("fig19"), args.workers, args.engine),
+        "fig17": _make_fig17(users_for("fig17"), args.workers),
+        "fig18": _make_fig18(users_for("fig18"), args.workers),
+        "fig19": _make_fig19(users_for("fig19"), args.workers),
         "mobile-vs-desktop": lambda: print(characterization.mobile_vs_desktop()),
         "daily-updates": lambda: print(
             hitrate.daily_updates(
                 users_per_class=users_for("daily-updates"),
                 workers=args.workers,
-                engine=args.engine,
             )
         ),
         "baselines": lambda: print(
@@ -495,7 +475,6 @@ def main(argv=None) -> int:
                 else users_for(args.artifact)
             ),
             "workers": args.workers,
-            "engine": args.engine,
             "mode": mode or "run",
         },
     )

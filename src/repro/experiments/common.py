@@ -75,23 +75,18 @@ def default_replay(
     users_per_class: int = 100,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
-    engine: str = "scalar",
 ) -> Dict[str, ReplayResult]:
     """The memoized Section 6.2 replay (all three cache modes).
 
-    ``workers`` and ``engine`` only accelerate the first (cache-filling)
-    run — replay results are bit-identical for any worker count or
-    engine, so the memo key deliberately ignores both.
+    ``workers`` only accelerates the first (cache-filling) run — replay
+    results are bit-identical for any worker count, so the memo key
+    deliberately ignores it.
     """
     key = (users_per_class, seed)
     if key not in _replay_cache:
         _replay_cache[key] = run_replay(
             default_log(seed=seed),
-            ReplayConfig(
-                users_per_class=users_per_class,
-                workers=workers,
-                engine=engine,
-            ),
+            ReplayConfig(users_per_class=users_per_class, workers=workers),
             modes=CacheMode.ALL,
         )
     return _replay_cache[key]

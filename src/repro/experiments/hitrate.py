@@ -37,13 +37,11 @@ def table6(seed: int = 23) -> Dict[str, dict]:
 
 
 def figure17(
-    users_per_class: int = 100, seed: int = 23, workers: int = 1,
-    engine: str = "scalar",
+    users_per_class: int = 100, seed: int = 23, workers: int = 1
 ) -> Dict[str, dict]:
     """Figure 17: hit rate per class for full / community / personal."""
     replay = default_replay(
-        users_per_class=users_per_class, seed=seed, workers=workers,
-        engine=engine,
+        users_per_class=users_per_class, seed=seed, workers=workers
     )
     out = {}
     for mode, result in replay.items():
@@ -56,13 +54,11 @@ def figure17(
 
 
 def figure18(
-    users_per_class: int = 100, seed: int = 23, workers: int = 1,
-    engine: str = "scalar",
+    users_per_class: int = 100, seed: int = 23, workers: int = 1
 ) -> Dict[str, dict]:
     """Figure 18: hit rates over the first week and first two weeks."""
     replay = default_replay(
-        users_per_class=users_per_class, seed=seed, workers=workers,
-        engine=engine,
+        users_per_class=users_per_class, seed=seed, workers=workers
     )
     t0 = 1 * MONTH_SECONDS  # replay month start
     windows = {
@@ -82,13 +78,11 @@ def figure18(
 
 
 def figure19(
-    users_per_class: int = 100, seed: int = 23, workers: int = 1,
-    engine: str = "scalar",
+    users_per_class: int = 100, seed: int = 23, workers: int = 1
 ) -> Dict[str, dict]:
     """Figure 19: navigational vs non-navigational share of cache hits."""
     replay = default_replay(
-        users_per_class=users_per_class, seed=seed, workers=workers,
-        engine=engine,
+        users_per_class=users_per_class, seed=seed, workers=workers
     )
     full = replay[CacheMode.FULL]
     breakdown = full.navigational_breakdown()
@@ -116,16 +110,24 @@ def figure19(
 
 def daily_updates(
     users_per_class: int = 25, seed: int = 23, workers: int = 1,
-    engine: str = "scalar",
+    engine: str = "vectorized",
 ) -> Dict[str, float]:
-    """Section 6.2.2: full-cache hit rate with vs without daily updates."""
+    """Section 6.2.2: full-cache hit rate with vs without daily updates.
+
+    ``engine`` selects nothing: replay always runs the batch engine
+    (:func:`repro.sim.replay.replay_one_user`).  The keyword is kept
+    only because the wall-clock benchmark's replay-daily workload
+    passes ``engine="vectorized"``; any other value raises ValueError.
+    """
+    if engine != "vectorized":
+        raise ValueError(
+            f"replay has one engine; engine={engine!r} is not accepted"
+        )
     log = default_log(seed=seed)
     users = select_replay_users(log, month=1, users_per_class=users_per_class)
     static = run_replay(
         log,
-        ReplayConfig(
-            users_per_class=users_per_class, workers=workers, engine=engine
-        ),
+        ReplayConfig(users_per_class=users_per_class, workers=workers),
         modes=(CacheMode.FULL,),
         selected_users=users,
     )[CacheMode.FULL]
@@ -135,7 +137,6 @@ def daily_updates(
             users_per_class=users_per_class,
             daily_updates=True,
             workers=workers,
-            engine=engine,
         ),
         modes=(CacheMode.FULL,),
         selected_users=users,

@@ -65,15 +65,14 @@ def paper_scale_replay(
     seed: int = 23,
     months: int = 2,
     modes=(CacheMode.FULL,),
-    engine: str = "scalar",
 ) -> Dict[str, dict]:
     """Section 6.2 hit-rate replay at near-paper scale.
 
-    The 10k-user population makes the serial replay the slowest artifact
-    in the repo; this is the workload the sharded harness and the
-    vectorized engine exist for.  Uses bounded-memory collectors
-    (thousands of month-long users would otherwise retain every outcome)
-    — results are bit-identical for any ``workers``/``engine`` value.
+    The 10k-user population makes this the slowest replay in the repo;
+    it is the workload the batch engine and the sharded harness exist
+    for.  Uses bounded-memory collectors (thousands of month-long users
+    would otherwise retain every outcome) — results are bit-identical
+    for any ``workers`` value.
     """
     log = paper_scale_log(months=months, seed=seed)
     replay = run_replay(
@@ -83,7 +82,6 @@ def paper_scale_replay(
             seed=seed,
             workers=workers,
             bounded_metrics=True,
-            engine=engine,
         ),
         modes=modes,
     )

@@ -91,8 +91,8 @@ class SearchBackend:
 class DailyUpdateBackend:
     """Apply nightly community refreshes at replay-equivalent points.
 
-    The offline harness (``_replay_user_with_updates``) refreshes the
-    community component just before serving the first event of each new
+    The offline harness (:func:`repro.sim.replay.replay_user`) refreshes
+    the community component just before serving the first event of each new
     replay day.  A purely time-driven background task could fire while a
     session still has yesterday's backlog queued, diverging from the
     replay ordering; anchoring the refresh to the *event's* day keeps the

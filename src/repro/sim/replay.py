@@ -14,6 +14,13 @@ Reproduces the paper's hit-rate methodology:
 Optionally applies daily server updates during the replay (Section
 6.2.2), refreshing the community component from a trailing log window.
 
+Each user is served by the batch engine (:mod:`repro.sim.vectorized`),
+which evaluates a whole stream as array operations.  While the tracer
+records, users are served event by event through a
+:class:`PocketSearchEngine` instead (:func:`replay_user`): that path
+opens the per-query spans, and the differential tests hold the batch
+engine bit-identical to it.
+
 Each user's replay is independent (one phone per user), so the harness
 is embarrassingly parallel: ``ReplayConfig(workers=N)`` partitions the
 selected users into shards dispatched to a ``multiprocessing`` pool (see
@@ -46,6 +53,7 @@ from repro.pocketsearch.database import ResultDatabase
 from repro.pocketsearch.engine import PocketSearchEngine
 from repro.pocketsearch.manager import CacheUpdateServer
 from repro.sim.metrics import MetricsCollector
+from repro.sim.vectorized import replay_user_vectorized
 from repro.storage.filesystem import FlashFilesystem
 from repro.storage.flash import NandFlash
 
@@ -84,13 +92,6 @@ class ReplayConfig:
     #: per-shard dispatch overhead).  Affects scheduling only, never
     #: results.
     shard_size: Optional[int] = None
-    #: Replay engine: ``"scalar"`` is the per-event
-    #: :class:`PocketSearchEngine` loop; ``"vectorized"`` batch-evaluates
-    #: each user's stream (:mod:`repro.sim.vectorized`).  Results are
-    #: bit-identical; composes with ``workers`` sharding.
-    engine: str = "scalar"
-
-    ENGINES = ("scalar", "vectorized")
 
     def __post_init__(self) -> None:
         if self.users_per_class <= 0:
@@ -101,10 +102,6 @@ class ReplayConfig:
             raise ValueError("workers must be positive")
         if self.shard_size is not None and self.shard_size <= 0:
             raise ValueError("shard_size must be positive when given")
-        if self.engine not in self.ENGINES:
-            raise ValueError(
-                f"engine must be one of {self.ENGINES}, got {self.engine!r}"
-            )
 
 
 @dataclass
@@ -259,15 +256,38 @@ def replay_user(
     t_start: float,
     t_end: float,
     metrics: Optional[MetricsCollector] = None,
+    daily_contents: Optional[List[CacheContent]] = None,
 ) -> MetricsCollector:
-    """Replay one user's events in [t_start, t_end) through an engine."""
+    """Replay one user's events in [t_start, t_end) through an engine,
+    one event at a time.
+
+    With ``daily_contents`` the community component gets a nightly
+    refresh (Section 6.2.2): before the first event of replay day *d*,
+    every day up to *d* not yet applied is refreshed in order.
+    """
     stream = log.for_user(user_id).window(t_start, t_end)
     if metrics is None:
         metrics = MetricsCollector()
-    with get_tracer().span(
-        "replay_user", user_id=user_id, n_events=stream.n_events
+    tracer = get_tracer()
+    server = CacheUpdateServer()
+    daily_attr = {"daily_updates": True} if daily_contents else {}
+    with tracer.span(
+        "replay_user", user_id=user_id, n_events=stream.n_events,
+        **daily_attr,
     ) as span:
+        day = 0
         for i in range(stream.n_events):
+            t = float(stream.timestamps[i])
+            if daily_contents:
+                event_day = min(
+                    int((t - t_start) // DAY_SECONDS), len(daily_contents) - 1
+                )
+                while day <= event_day:
+                    with tracer.span("community_refresh", day=day):
+                        server.refresh_with_content(
+                            engine.cache, daily_contents[day]
+                        )
+                    day += 1
             qkey = int(stream.query_keys[i])
             rkey = int(stream.result_keys[i])
             result = engine.serve_query(
@@ -275,7 +295,7 @@ def replay_user(
                 clicked_url=stream.result_url(rkey),
                 record_bytes=result_record_bytes(stream, rkey),
                 navigational=bool(stream.navigational[i]),
-                timestamp=float(stream.timestamps[i]),
+                timestamp=t,
             )
             metrics.record(result.outcome)
         span.set_attr("hit_rate", metrics.hit_rate)
@@ -365,23 +385,26 @@ def replay_one_user(
     Everything a user's outcome depends on — the cache content, the log
     window, and the per-user seed — is passed in explicitly, so the
     result is identical whether this runs inline or in a worker process.
-    """
-    if config.engine == "vectorized":
-        from repro.sim.vectorized import replay_one_user_vectorized
 
-        return replay_one_user_vectorized(
-            log, content, daily_contents, config, mode,
-            user_class, user_id, t_start, t_end,
-        )
-    cache = make_cache(content, mode)
-    engine = PocketSearchEngine(cache)
+    The batch engine (:func:`~repro.sim.vectorized.replay_user_vectorized`)
+    serves the user unless the tracer is recording.  Then the per-event
+    :func:`replay_user` does, because only it opens a span per query;
+    both give bit-identical outcomes.
+    """
+    daily = (
+        daily_contents
+        if config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY
+        else None
+    )
     metrics = _new_collector(config, user_id)
-    if config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY:
-        _replay_user_with_updates(
-            engine, log, user_id, t_start, t_end, daily_contents, metrics
-        )
+    if get_tracer().enabled:
+        engine = PocketSearchEngine(make_cache(content, mode))
+        replay_user(engine, log, user_id, t_start, t_end, metrics, daily)
     else:
-        replay_user(engine, log, user_id, t_start, t_end, metrics)
+        replay_user_vectorized(
+            log, content, daily, mode, user_id, t_start, t_end,
+            metrics=metrics, seed=config.seed,
+        )
     return UserReplayResult(
         user_id=user_id, user_class=user_class, metrics=metrics
     )
@@ -409,46 +432,3 @@ def _daily_contents(log: SearchLog, config: ReplayConfig) -> List[CacheContent]:
         MONTH_SECONDS,
         config.policy,
     )
-
-
-def _replay_user_with_updates(
-    engine: PocketSearchEngine,
-    log: SearchLog,
-    user_id: int,
-    t_start: float,
-    t_end: float,
-    daily_contents: List[CacheContent],
-    metrics: Optional[MetricsCollector] = None,
-) -> MetricsCollector:
-    """Replay with a nightly community refresh (Section 6.2.2)."""
-    server = CacheUpdateServer()
-    stream = log.for_user(user_id).window(t_start, t_end)
-    if metrics is None:
-        metrics = MetricsCollector()
-    tracer = get_tracer()
-    with tracer.span(
-        "replay_user", user_id=user_id, n_events=stream.n_events,
-        daily_updates=True,
-    ) as span:
-        day = 0
-        for i in range(stream.n_events):
-            t = float(stream.timestamps[i])
-            event_day = min(
-                int((t - t_start) // DAY_SECONDS), len(daily_contents) - 1
-            )
-            while day <= event_day:
-                with tracer.span("community_refresh", day=day):
-                    server.refresh_with_content(engine.cache, daily_contents[day])
-                day += 1
-            qkey = int(stream.query_keys[i])
-            rkey = int(stream.result_keys[i])
-            result = engine.serve_query(
-                query=stream.query_string(qkey),
-                clicked_url=stream.result_url(rkey),
-                record_bytes=result_record_bytes(stream, rkey),
-                navigational=bool(stream.navigational[i]),
-                timestamp=t,
-            )
-            metrics.record(result.outcome)
-        span.set_attr("hit_rate", metrics.hit_rate)
-    return metrics

@@ -70,7 +70,8 @@ def _init_worker(
 
     Also forces the no-op tracer: a forked worker would otherwise inherit
     the parent's recording tracer and accumulate spans that die with the
-    process.
+    process.  Untraced, workers serve users on the batch engine even in
+    a traced run.
     """
     from repro.obs import trace
 

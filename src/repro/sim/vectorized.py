@@ -48,38 +48,31 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.logs.generator import SearchLog
-from repro.logs.schema import UserClass
-from repro.obs.trace import get_tracer
+from repro.pocketsearch.cache import PocketSearchCache
 from repro.pocketsearch.content import CacheContent, result_record_bytes
 from repro.pocketsearch.database import (
-    DEFAULT_N_FILES,
     DIRECTORY_SCAN_S_PER_FILE,
     HEADER_ENTRY_BYTES,
     HEADER_PARSE_S_PER_ENTRY,
     CompactionResult,
 )
 from repro.pocketsearch.engine import (
-    KB,
     MISC_LATENCY_S,
     RESULTS_PER_PAGE,
     _SOURCE_BY_RADIO,
+    PocketSearchEngine,
 )
 from repro.pocketsearch.hashtable import QueryHashTable, hash64
 from repro.pocketsearch.manager import CacheUpdateServer, UpdatePatch
-from repro.pocketsearch.ranking import PersonalizedRanker
 from repro.radio.energy import (
     isolated_request_components,
     isolated_request_latency,
 )
-from repro.radio.models import THREE_G
-from repro.sim.browser import RADIO_SERP_BYTES, SERP_BYTES, Browser
+from repro.sim.browser import SERP_BYTES
 from repro.sim.metrics import MetricsCollector, QueryOutcome, ServiceSource
-from repro.storage.filesystem import FlashFilesystem
-from repro.storage.flash import NandFlash
 
 __all__ = [
     "EngineCostModel",
-    "replay_one_user_vectorized",
     "replay_user_vectorized",
 ]
 
@@ -89,32 +82,37 @@ DAY_SECONDS = 24 * 3600
 class EngineCostModel:
     """Constants of the default serving stack, pulled from the real models.
 
-    Instantiating the same default objects the scalar path uses keeps the
-    vectorized engine in lockstep with any future change to the model
-    defaults (rather than hard-coding today's numbers).
+    Reading them from a default :class:`PocketSearchEngine` and the
+    objects it owns keeps the vectorized engine in lockstep with any
+    future change to the model defaults (rather than hard-coding today's
+    numbers).
     """
 
     def __init__(self) -> None:
-        table = QueryHashTable()
-        browser = Browser()
-        flash = NandFlash()
-        fs = FlashFilesystem(flash)
+        engine = PocketSearchEngine(PocketSearchCache())
+        table = engine.cache.hashtable
+        database = engine.cache.database
+        fs = database.filesystem
+        flash = fs.flash
+        browser = engine.browser
         server = CacheUpdateServer()
 
         self.lookup_s = table.lookup_latency_s
         self.results_per_entry = table.results_per_entry
         self.render_s = browser.model.render_seconds(SERP_BYTES)
         self.render_energy_j = browser.render_energy_j(self.render_s)
-        self.base_power_w = 0.9  # PocketSearchEngine default
+        self.base_power_w = engine.base_power_w
         self.misc_s = MISC_LATENCY_S
         self.top_k = RESULTS_PER_PAGE
 
-        radio_latency = isolated_request_latency(
-            THREE_G, 1 * KB, RADIO_SERP_BYTES, 0.35
+        request = (
+            engine.radio,
+            engine.query_bytes_up,
+            engine.serp_bytes_down,
+            engine.server_time_s,
         )
-        parts = isolated_request_components(
-            THREE_G, 1 * KB, RADIO_SERP_BYTES, 0.35
-        )
+        radio_latency = isolated_request_latency(*request)
+        parts = isolated_request_components(*request)
         radio_energy = (parts.ramp_j + parts.transfer_j) + parts.tail_j
         self.miss_latency_s = (
             self.lookup_s + radio_latency
@@ -122,10 +120,10 @@ class EngineCostModel:
         self.miss_energy_j = (
             self.miss_latency_s * self.base_power_w + radio_energy
         ) + self.render_energy_j
-        self.miss_source = _SOURCE_BY_RADIO[THREE_G.name]
+        self.miss_source = _SOURCE_BY_RADIO[engine.radio.name]
 
         # Flash / database read-cost components.
-        self.n_files = DEFAULT_N_FILES
+        self.n_files = database.n_files
         self.page_bytes = flash.geometry.page_bytes
         self.read_page_s = flash.read_page_s
         self.read_bw_bps = flash.read_bandwidth_bps
@@ -139,7 +137,7 @@ class EngineCostModel:
 
         # Personalization decay factor (Equation 2), evaluated once: the
         # scalar ranker calls math.exp per click, which is deterministic.
-        self.decay = math.exp(-PersonalizedRanker().decay_lambda)
+        self.decay = math.exp(-engine.cache.ranker.decay_lambda)
 
         # Update-protocol constants (Section 5.4).
         self.retention_min_score = server.retention_min_score
@@ -971,7 +969,6 @@ def _replay_user_arrays(
     # scalar loop does.
     plans = universe.day_plans(daily_contents)
     state = _UserCacheState(universe, daily=True)
-    tracer = get_tracer()
     timestamps = events["timestamp"]
     event_day = np.minimum(
         ((timestamps - t_start) // DAY_SECONDS).astype(np.int64),
@@ -987,8 +984,7 @@ def _replay_user_arrays(
     for lo, hi in zip(starts, stops):
         segment_day = int(event_day[lo])
         while day <= segment_day:
-            with tracer.span("community_refresh", day=day):
-                patch = _refresh_state(state, plans[day])
+            patch = _refresh_state(state, plans[day])
             if patches_out is not None:
                 patches_out.append(patch)
             day += 1
@@ -1046,9 +1042,11 @@ def _emit_outcomes(
 
 # Process-level caches: shards replay many users against the same log /
 # content, and the mirrors are immutable, so they are built once per
-# worker.  Strong references are kept alongside so id() keys can never
-# alias a collected object.
-_UNIVERSE_CACHE: Dict[Tuple[int, int, str], ReplayUniverse] = {}
+# worker.  Strong references to the keyed objects are kept alongside so
+# id() keys can never alias a collected object.
+_UNIVERSE_CACHE: Dict[
+    Tuple[int, int, str], Tuple[Optional[CacheContent], ReplayUniverse]
+] = {}
 _BATCH_CACHE: Dict[Tuple[int, float, float, int], object] = {}
 _CACHE_LIMIT = 8
 
@@ -1058,12 +1056,12 @@ def _universe_for(
 ) -> ReplayUniverse:
     key = (id(log), id(content), mode)
     found = _UNIVERSE_CACHE.get(key)
-    if found is not None and found.log is log:
-        return found
+    if found is not None and found[0] is content and found[1].log is log:
+        return found[1]
     if len(_UNIVERSE_CACHE) >= _CACHE_LIMIT:
         _UNIVERSE_CACHE.clear()
     universe = ReplayUniverse(log, content, mode)
-    _UNIVERSE_CACHE[key] = universe
+    _UNIVERSE_CACHE[key] = (content, universe)
     return universe
 
 
@@ -1100,9 +1098,9 @@ def replay_user_vectorized(
     ``patches`` is the per-refresh :class:`UpdatePatch` list when
     ``collect_patches`` and daily contents are given, else ``None`` —
     the hook the refresh-parity tests use to compare update accounting
-    against the scalar :class:`CacheUpdateServer`.  Opens the scalar
-    loop's ``replay_user`` and ``community_refresh`` spans, with the
-    same attributes.
+    against the scalar :class:`CacheUpdateServer`.  Opens no spans:
+    :func:`repro.sim.replay.replay_one_user` serves traced runs event by
+    event instead.
     """
     universe = _universe_for(log, content, mode)
     batch = _batch_for(log, t_start, t_end, seed)
@@ -1112,54 +1110,11 @@ def replay_user_vectorized(
     )
     if metrics is None:
         metrics = MetricsCollector()
-    tracer = get_tracer()
-    daily_attr = {"daily_updates": True} if daily_contents else {}
-    with tracer.span(
-        "replay_user", user_id=user_id, n_events=len(events), **daily_attr
-    ) as span:
-        hit, latency, energy = _replay_user_arrays(
-            universe, events, mode, daily_contents, t_start, patches
-        )
-        metrics.extend(
-            _emit_outcomes(universe, events, hit, latency, energy)
-        )
-        if tracer.enabled:
-            span.set_attr("hit_rate", metrics.hit_rate)
+    hit, latency, energy = _replay_user_arrays(
+        universe, events, mode, daily_contents, t_start, patches
+    )
+    metrics.extend(_emit_outcomes(universe, events, hit, latency, energy))
     return metrics, patches
-
-
-def replay_one_user_vectorized(
-    log: SearchLog,
-    content: Optional[CacheContent],
-    daily_contents: List[CacheContent],
-    config,
-    mode: str,
-    user_class: UserClass,
-    user_id: int,
-    t_start: float,
-    t_end: float,
-):
-    """Vectorized counterpart of :func:`repro.sim.replay.replay_one_user`."""
-    from repro.sim.replay import CacheMode, UserReplayResult, _new_collector
-
-    use_daily = (
-        config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY
-    )
-    metrics = _new_collector(config, user_id)
-    replay_user_vectorized(
-        log,
-        content,
-        daily_contents if use_daily else None,
-        mode,
-        user_id,
-        t_start,
-        t_end,
-        metrics=metrics,
-        seed=config.seed,
-    )
-    return UserReplayResult(
-        user_id=user_id, user_class=user_class, metrics=metrics
-    )
 
 
 def clear_caches() -> None:

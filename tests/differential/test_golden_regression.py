@@ -8,7 +8,7 @@ numbers and fails the suite.
 
 Regenerate (after an *intentional* behaviour change) with::
 
-    PYTHONPATH=src python tests/differential/test_golden_regression.py --regenerate
+    PYTHONPATH=src python -m tests.differential.test_golden_regression --regenerate
 """
 
 import json
@@ -22,6 +22,8 @@ from repro.logs.schema import UserClass
 from repro.logs.users import PopulationConfig, UserPopulation
 from repro.logs.vocabulary import Vocabulary, VocabularyConfig
 from repro.sim.replay import CacheMode, ReplayConfig, run_replay
+
+from tests.differential.per_event import per_event_replay
 
 FIXTURE_PATH = os.path.join(
     os.path.dirname(__file__), "..", "fixtures", "golden_replay.json"
@@ -40,7 +42,7 @@ GOLDEN_CONFIG = {
 TOLERANCE = 1e-9
 
 
-def _golden_replay(workers: int = 1, engine: str = "scalar"):
+def _golden_replay(workers: int = 1):
     log = generate_logs(
         community=CommunityModel(
             Vocabulary.build(VocabularyConfig(**GOLDEN_CONFIG["vocabulary"]))
@@ -56,7 +58,6 @@ def _golden_replay(workers: int = 1, engine: str = "scalar"):
             users_per_class=GOLDEN_CONFIG["users_per_class"],
             seed=GOLDEN_CONFIG["replay_seed"],
             workers=workers,
-            engine=engine,
         ),
         modes=[CacheMode.FULL],
     )[CacheMode.FULL]
@@ -82,9 +83,15 @@ def golden() -> dict:
         return json.load(fh)
 
 
+def _observed_per_event() -> dict:
+    """The golden replay served event by event (the scalar reference)."""
+    with per_event_replay():
+        return _observed(_golden_replay())
+
+
 @pytest.fixture(scope="module")
 def observed() -> dict:
-    return _observed(_golden_replay())
+    return _observed_per_event()
 
 
 class TestGoldenReplay:
@@ -112,7 +119,8 @@ class TestGoldenReplay:
             ), user_class
 
     def test_parallel_run_matches_golden(self, golden):
-        """The sharded path must hit the same golden numbers."""
+        """The sharded path (batch engine in the workers) must hit the
+        same golden numbers."""
         parallel = _observed(_golden_replay(workers=2))
         assert parallel["total_queries"] == golden["total_queries"]
         assert parallel["total_hits"] == golden["total_hits"]
@@ -121,8 +129,9 @@ class TestGoldenReplay:
         )
 
     def test_vectorized_run_matches_golden(self, golden):
-        """The vectorized engine must hit the same golden numbers."""
-        vectorized = _observed(_golden_replay(engine="vectorized"))
+        """The batch engine (an untraced serial run) must hit the same
+        golden numbers."""
+        vectorized = _observed(_golden_replay())
         assert vectorized["total_queries"] == golden["total_queries"]
         assert vectorized["total_hits"] == golden["total_hits"]
         assert vectorized["overall_hit_rate"] == pytest.approx(
@@ -135,7 +144,7 @@ class TestGoldenReplay:
 
 
 def _regenerate() -> None:
-    observed = _observed(_golden_replay())
+    observed = _observed_per_event()
     path = os.path.abspath(FIXTURE_PATH)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:

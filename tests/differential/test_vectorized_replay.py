@@ -1,11 +1,14 @@
 """Three-way differential equivalence: serial ≡ parallel ≡ vectorized.
 
-The vectorized engine (:mod:`repro.sim.vectorized`) must be *bit-identical*
-to the scalar per-event engine — same per-query outcomes, same bounded
+The batch engine (:mod:`repro.sim.vectorized`), which serves every
+untraced replay, must be *bit-identical* to the scalar per-event path
+that serves traced ones — same per-query outcomes, same bounded
 reservoirs, same aggregate reports — across every cache mode, with and
 without daily updates, with exact and bounded metrics, serial and
-sharded.  Together with ``test_parallel_replay`` (serial ≡ parallel for
-the scalar engine) this closes the full serial ≡ parallel ≡ vectorized
+sharded.  The scalar reference runs under a recording tracer
+(:func:`tests.differential.per_event.per_event_replay`), which is what
+selects the per-event path.  Together with ``test_parallel_replay``
+(serial ≡ parallel) this closes the full serial ≡ parallel ≡ vectorized
 triangle: each vectorized variant here is compared against the scalar
 serial reference directly.
 """
@@ -14,49 +17,44 @@ import pytest
 
 from repro.sim.replay import CacheMode, ReplayConfig, run_replay
 
+from tests.differential.per_event import per_event_replay
 from tests.differential.test_parallel_replay import (
     USERS_PER_CLASS,
     assert_replay_identical,
 )
 
 
-def _run(small_log, engine, mode, **kwargs):
+def _run(small_log, mode, **kwargs):
     return run_replay(
         small_log,
-        ReplayConfig(
-            users_per_class=USERS_PER_CLASS, engine=engine, **kwargs
-        ),
+        ReplayConfig(users_per_class=USERS_PER_CLASS, **kwargs),
         modes=[mode],
     )[mode]
 
 
+def _scalar(small_log, **kwargs):
+    with per_event_replay():
+        return run_replay(
+            small_log,
+            ReplayConfig(users_per_class=USERS_PER_CLASS, **kwargs),
+            modes=CacheMode.ALL,
+        )
+
+
 @pytest.fixture(scope="module")
 def scalar_plain(request):
-    small_log = request.getfixturevalue("small_log")
-    return run_replay(
-        small_log,
-        ReplayConfig(users_per_class=USERS_PER_CLASS),
-        modes=CacheMode.ALL,
-    )
+    return _scalar(request.getfixturevalue("small_log"))
 
 
 @pytest.fixture(scope="module")
 def scalar_daily(request):
-    small_log = request.getfixturevalue("small_log")
-    return run_replay(
-        small_log,
-        ReplayConfig(users_per_class=USERS_PER_CLASS, daily_updates=True),
-        modes=CacheMode.ALL,
-    )
+    return _scalar(request.getfixturevalue("small_log"), daily_updates=True)
 
 
 @pytest.fixture(scope="module")
 def scalar_bounded(request):
-    small_log = request.getfixturevalue("small_log")
-    return run_replay(
-        small_log,
-        ReplayConfig(users_per_class=USERS_PER_CLASS, bounded_metrics=True),
-        modes=CacheMode.ALL,
+    return _scalar(
+        request.getfixturevalue("small_log"), bounded_metrics=True
     )
 
 
@@ -65,7 +63,7 @@ class TestVectorizedEqualsScalar:
 
     @pytest.mark.parametrize("mode", CacheMode.ALL)
     def test_plain(self, small_log, scalar_plain, mode):
-        vectorized = _run(small_log, "vectorized", mode)
+        vectorized = _run(small_log, mode)
         assert_replay_identical(scalar_plain[mode], vectorized)
         # Exact mode retains outcomes: the per-event streams must agree
         # record-for-record, not merely in aggregate.
@@ -74,14 +72,12 @@ class TestVectorizedEqualsScalar:
 
     @pytest.mark.parametrize("mode", CacheMode.ALL)
     def test_daily_updates(self, small_log, scalar_daily, mode):
-        vectorized = _run(small_log, "vectorized", mode, daily_updates=True)
+        vectorized = _run(small_log, mode, daily_updates=True)
         assert_replay_identical(scalar_daily[mode], vectorized)
 
     @pytest.mark.parametrize("mode", CacheMode.ALL)
     def test_bounded_metrics(self, small_log, scalar_bounded, mode):
-        vectorized = _run(
-            small_log, "vectorized", mode, bounded_metrics=True
-        )
+        vectorized = _run(small_log, mode, bounded_metrics=True)
         assert_replay_identical(scalar_bounded[mode], vectorized)
         for user in vectorized.users:
             assert user.metrics.bounded
@@ -89,13 +85,12 @@ class TestVectorizedEqualsScalar:
 
     @pytest.mark.parametrize("mode", CacheMode.ALL)
     def test_daily_bounded(self, small_log, mode):
-        scalar = _run(
-            small_log, "scalar", mode,
-            daily_updates=True, bounded_metrics=True,
-        )
+        with per_event_replay():
+            scalar = _run(
+                small_log, mode, daily_updates=True, bounded_metrics=True
+            )
         vectorized = _run(
-            small_log, "vectorized", mode,
-            daily_updates=True, bounded_metrics=True,
+            small_log, mode, daily_updates=True, bounded_metrics=True
         )
         assert_replay_identical(scalar, vectorized)
 
@@ -107,28 +102,18 @@ class TestVectorizedParallel:
     def test_sharded_vectorized_equals_serial_scalar(
         self, small_log, scalar_plain, mode
     ):
-        sharded = _run(small_log, "vectorized", mode, workers=2)
+        sharded = _run(small_log, mode, workers=2)
         assert_replay_identical(scalar_plain[mode], sharded)
 
     def test_sharded_vectorized_daily(self, small_log, scalar_daily):
         sharded = _run(
-            small_log, "vectorized", CacheMode.FULL,
-            workers=2, daily_updates=True,
+            small_log, CacheMode.FULL, workers=2, daily_updates=True
         )
         assert_replay_identical(scalar_daily[CacheMode.FULL], sharded)
 
     def test_sharded_vectorized_bounded(self, small_log, scalar_bounded):
         sharded = _run(
-            small_log, "vectorized", CacheMode.FULL,
-            workers=2, bounded_metrics=True,
+            small_log, CacheMode.FULL, workers=2, bounded_metrics=True
         )
         assert_replay_identical(scalar_bounded[CacheMode.FULL], sharded)
 
-
-class TestEngineConfig:
-    def test_engine_must_be_known(self):
-        with pytest.raises(ValueError):
-            ReplayConfig(engine="simd")
-
-    def test_default_engine_is_scalar(self):
-        assert ReplayConfig().engine == "scalar"

@@ -125,7 +125,7 @@ class TestUsersFlag:
         "argv, expected",
         [
             (["daily-updates"], 10),
-            (["daily-updates", "--users", "2", "--engine", "vectorized"], 2),
+            (["daily-updates", "--users", "2"], 2),
             (["baselines"], 10),
             (["baselines", "--users", "3"], 3),
             (["fig17"], 40),

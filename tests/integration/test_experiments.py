@@ -248,6 +248,11 @@ class TestDailyUpdates:
         assert -0.02 <= result["improvement"] <= 0.06
         assert result["daily_update_hit_rate"] >= result["static_hit_rate"] - 0.02
 
+    @pytest.mark.parametrize("engine", ["scalar", "simd"])
+    def test_no_engine_but_the_batch_engine(self, engine):
+        with pytest.raises(ValueError):
+            hitrate.daily_updates(engine=engine)
+
 
 class TestAblations:
     def test_baselines_ordering(self):

@@ -4,12 +4,11 @@ import pytest
 
 from repro.logs.schema import MONTH_SECONDS, UserClass
 from repro.pocketsearch.content import ContentPolicy, build_cache_content
-from repro.pocketsearch.engine import PocketSearchEngine
 from repro.sim.replay import (
     CacheMode,
     ReplayConfig,
     make_cache,
-    replay_user,
+    replay_one_user,
     run_replay,
     select_replay_users,
 )
@@ -136,11 +135,13 @@ class TestReplayUser:
             small_log.month(0), ContentPolicy(max_pairs=200)
         )
         selected = select_replay_users(small_log, 1, 1)
-        uid = next(uids[0] for uids in selected.values() if uids)
-        engine = PocketSearchEngine(make_cache(content, CacheMode.FULL))
-        metrics = replay_user(
-            engine, small_log, uid, MONTH_SECONDS, 2 * MONTH_SECONDS
+        user_class, uid = next(
+            (c, uids[0]) for c, uids in selected.items() if uids
         )
+        metrics = replay_one_user(
+            small_log, content, [], ReplayConfig(), CacheMode.FULL,
+            user_class, uid, MONTH_SECONDS, 2 * MONTH_SECONDS,
+        ).metrics
         expected = small_log.for_user(uid).month(1).n_events
         assert metrics.count == expected
 

@@ -9,7 +9,6 @@ from repro.pocketsearch.engine import PocketSearchEngine
 from repro.pocketsearch.hashtable import QueryHashTable
 from repro.radio.models import THREE_G
 from repro.radio.states import RadioLink
-from repro.sim.replay import CacheMode, ReplayConfig, run_replay
 from repro.storage.filesystem import FlashFilesystem
 from repro.storage.flash import NandFlash
 
@@ -95,35 +94,3 @@ class TestRadioLinkEvents:
                 assert r.attrs["dwell_s"] > 0
                 assert r.attrs["energy_j"] >= 0
 
-
-class TestReplaySpans:
-    """Both replay engines open one ``replay_user`` span per user and one
-    ``community_refresh`` span per daily refresh under it, with the same
-    attributes, so ``repro profile`` splits their time the same way."""
-
-    @staticmethod
-    def _replay_spans(small_log, engine, mode):
-        tracer = enable()
-        run_replay(
-            small_log,
-            ReplayConfig(users_per_class=2, daily_updates=True, engine=engine),
-            modes=[mode],
-        )
-        records = tracer.records()
-        disable()
-        users = {r.span_id: r for r in records if r.name == "replay_user"}
-        refreshes = [
-            (users[r.parent_id].attrs["user_id"], r.attrs["day"])
-            for r in records
-            if r.name == "community_refresh"
-        ]
-        return [r.attrs for r in users.values()], refreshes
-
-    @pytest.mark.parametrize("mode", [CacheMode.FULL, CacheMode.COMMUNITY_ONLY])
-    def test_engines_emit_the_same_spans(self, small_log, mode):
-        users, refreshes = self._replay_spans(small_log, "scalar", mode)
-        assert len(users) == 8 and refreshes
-        assert all(attrs["daily_updates"] is True for attrs in users)
-        assert self._replay_spans(small_log, "vectorized", mode) == (
-            users, refreshes,
-        )
