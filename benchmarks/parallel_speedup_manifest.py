@@ -29,6 +29,7 @@ from repro.experiments.common import DEFAULT_SEED, default_log
 from repro.obs import trace as obs_trace
 from repro.obs.manifest import ManifestRecorder
 from repro.sim.replay import CacheMode, ReplayConfig, run_replay
+from repro.sim.vectorized import clear_caches
 
 
 def _shard_stats(tracer) -> list:
@@ -50,6 +51,9 @@ def run(users_per_class: int, workers: int, seed: int, out: str) -> dict:
         seed=seed,
     )
     with recorder:
+        # Both timed runs start cold: the first run's mined content and
+        # batch-engine caches would otherwise serve the second.
+        clear_caches()
         t0 = time.perf_counter()
         serial = run_replay(
             log,
@@ -58,6 +62,7 @@ def run(users_per_class: int, workers: int, seed: int, out: str) -> dict:
         )[CacheMode.FULL]
         serial_s = time.perf_counter() - t0
 
+        clear_caches()
         tracer = obs_trace.enable()
         try:
             t0 = time.perf_counter()

@@ -16,13 +16,7 @@ distributional property the paper reports (see DESIGN.md section 5):
 """
 
 from repro.logs.schema import QueryEvent, Triplet, UserClass, classify_user
-from repro.logs.vocabulary import (
-    QueryDef,
-    ResultDef,
-    Topic,
-    Vocabulary,
-    VocabularyConfig,
-)
+from repro.logs.vocabulary import Vocabulary, VocabularyConfig
 from repro.logs.popularity import CommunityModel
 from repro.logs.users import UserBehavior, UserPopulation, PopulationConfig
 from repro.logs.generator import GeneratorConfig, SearchLog, generate_logs
@@ -32,11 +26,8 @@ __all__ = [
     "CommunityModel",
     "GeneratorConfig",
     "PopulationConfig",
-    "QueryDef",
     "QueryEvent",
-    "ResultDef",
     "SearchLog",
-    "Topic",
     "Triplet",
     "UserBehavior",
     "UserClass",

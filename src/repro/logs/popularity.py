@@ -9,12 +9,12 @@ Individual user streams are mixtures over this model (see
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.logs.schema import Triplet
-from repro.logs.vocabulary import ResultDef, Vocabulary
+from repro.logs.vocabulary import Vocabulary, ragged
 
 
 class CommunityModel:
@@ -24,52 +24,44 @@ class CommunityModel:
         query_strings: query text per query id.
         query_navigational: nav flag per query id.
         result_urls: URL per result id.
-        result_records: full :class:`ResultDef` per result id.
+        result_record_bytes: stored size per result id (int64).
         pair_query: query id per pair id.
         pair_result: result id per pair id.
+        pair_topic: topic id per pair id.
         pair_prob: sampling probability per pair id (sums to 1).
     """
 
     def __init__(self, vocabulary: Vocabulary) -> None:
-        self.vocabulary = vocabulary
-        query_strings: List[str] = []
-        query_nav: List[bool] = []
-        result_urls: List[str] = []
-        result_records: List[ResultDef] = []
-        pair_query: List[int] = []
-        pair_result: List[int] = []
-        pair_weight: List[float] = []
-        pair_topic: List[int] = []
+        v = vocabulary
+        # Result ids number the URLs by first occurrence; a result keeps
+        # the record size of its first occurrence.
+        url_ids: Dict[str, int] = {}
+        slot_result = np.fromiter(
+            (url_ids.setdefault(url, len(url_ids)) for url in v.result_url),
+            dtype=np.int64,
+            count=v.n_results,
+        )
+        first_slot = np.unique(slot_result, return_index=True)[1]
+        # Each query pairs with every result of its topic, in result order.
+        topic_queries = np.diff(v.query_offsets)
+        query_topic = np.repeat(np.arange(len(topic_queries)), topic_queries)
+        per_query = np.diff(v.result_offsets)[query_topic]
+        pair_query = np.repeat(np.arange(v.n_queries), per_query)
+        pair_topic = query_topic[pair_query]
+        pair_slot = v.result_offsets[pair_topic] + ragged(per_query)[1]
+        weights = (
+            v.topic_weight[pair_topic]
+            * v.query_share[pair_query]
+            * v.result_share[pair_slot]
+        )
 
-        url_to_id: dict = {}
-        for topic in vocabulary.topics:
-            result_ids = []
-            for result in topic.results:
-                rid = url_to_id.get(result.url)
-                if rid is None:
-                    rid = len(result_urls)
-                    url_to_id[result.url] = rid
-                    result_urls.append(result.url)
-                    result_records.append(result)
-                result_ids.append(rid)
-            for query in topic.queries:
-                qid = len(query_strings)
-                query_strings.append(query.text)
-                query_nav.append(query.navigational)
-                for rid, result in zip(result_ids, topic.results):
-                    pair_query.append(qid)
-                    pair_result.append(rid)
-                    pair_weight.append(topic.weight * query.share * result.share)
-                    pair_topic.append(topic.topic_id)
-
-        self.query_strings = query_strings
-        self.query_navigational = np.asarray(query_nav, dtype=bool)
-        self.result_urls = result_urls
-        self.result_records = result_records
-        self.pair_query = np.asarray(pair_query, dtype=np.int64)
-        self.pair_result = np.asarray(pair_result, dtype=np.int64)
-        self.pair_topic = np.asarray(pair_topic, dtype=np.int64)
-        weights = np.asarray(pair_weight, dtype=np.float64)
+        self.query_strings = v.query_text
+        self.query_navigational = v.query_navigational
+        self.result_urls = list(url_ids)
+        self.result_record_bytes = v.result_record_bytes[first_slot]
+        self.pair_query = pair_query
+        self.pair_result = slot_result[pair_slot]
+        self.pair_topic = pair_topic
         total = weights.sum()
         if total <= 0:
             raise ValueError("vocabulary produced zero total pair weight")

@@ -20,48 +20,11 @@ entry and chains extra entries).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, List, Tuple
 
 import numpy as np
 
 from repro.logs.schema import is_navigational
-
-
-@dataclass(frozen=True)
-class QueryDef:
-    """One query string of a topic, with its share of the topic's volume."""
-
-    text: str
-    share: float
-    navigational: bool
-
-
-@dataclass(frozen=True)
-class ResultDef:
-    """One clickable result of a topic."""
-
-    url: str
-    title: str
-    snippet_bytes: int
-    share: float
-
-    @property
-    def record_bytes(self) -> int:
-        """Bytes needed to store this result in the PocketSearch database
-        (title + URL + human-readable URL + snippet), ~500 B on average as
-        the paper reports."""
-        return len(self.title) + 2 * len(self.url) + self.snippet_bytes
-
-
-@dataclass(frozen=True)
-class Topic:
-    """A bundle of queries and results serving one information need."""
-
-    topic_id: int
-    navigational: bool
-    weight: float
-    queries: List[QueryDef]
-    results: List[ResultDef]
 
 
 @dataclass(frozen=True)
@@ -104,186 +67,219 @@ _NON_NAV_ALIAS_PATTERNS = (
 )
 
 
-def _snippet_bytes(rng: np.random.Generator) -> int:
-    """A result's snippet size: N(500, 60) bytes clipped to [300, 700]."""
-    return int(min(max(rng.normal(500, 60), 300), 700))
-
-
 def _zipf_weights(n: int, s: float) -> np.ndarray:
     ranks = np.arange(1, n + 1, dtype=np.float64)
     w = ranks**-s
     return w / w.sum()
 
 
+def _alias_rates(n: int, base_rate: float) -> List[float]:
+    """Per-topic alias rate: popular topics collect more misspellings and
+    shortcuts.
+
+    The very popular sites ("youtube", "bank of america") are typed by
+    millions of users and accumulate misspelling variants ("yotube") and
+    shortcuts ("boa"); tail topics are typically reached one way.
+    """
+    rank_fraction = np.arange(n) / n
+    boost = np.where(
+        rank_fraction < 0.05, 4.0, np.where(rank_fraction < 0.20, 2.2, 0.8)
+    )
+    return (base_rate * boost).tolist()
+
+
+def _query_shares(n: int, canonical_share: float) -> List[float]:
+    """Volume shares for a canonical query plus ``n - 1`` aliases."""
+    if n == 1:
+        return [1.0]
+    alias_total = 1.0 - canonical_share
+    # Aliases get geometrically decreasing shares of the alias mass.
+    raw = [0.65**k for k in range(n - 1)]
+    norm = sum(raw)
+    return [canonical_share] + [alias_total * r / norm for r in raw]
+
+
+def _nav_result_shares(n: int) -> List[float]:
+    """Click shares of a site and, when there is one, its secondary page."""
+    return [1.0] if n == 1 else [0.55, 0.45]
+
+
+def _result_shares(n: int) -> List[float]:
+    """Click shares of a non-navigational topic's ``n`` results."""
+    raw = [0.8**k for k in range(n)]
+    norm = sum(raw)
+    return [r / norm for r in raw]
+
+
+def ragged(counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Offsets of consecutive groups of ``counts`` items (one start per
+    group, then the end), and each item's position within its group."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, np.arange(offsets[-1]) - np.repeat(offsets[:-1], counts)
+
+
+def _share_column(
+    counts: np.ndarray, shares_of: Callable[[int], List[float]]
+) -> np.ndarray:
+    """``shares_of(n)[k]`` for the ``k``-th item of each group, the groups
+    holding ``counts`` items in turn."""
+    table = np.zeros((counts.max() + 1, counts.max()))
+    for n in np.unique(counts).tolist():
+        table[n, :n] = shares_of(n)
+    return table[np.repeat(counts, counts), ragged(counts)[1]]
+
+
+def _topic_queries(topic_id: int, n_aliases: int, navigational: bool) -> List[str]:
+    """A topic's canonical query, then its aliases."""
+    if navigational:
+        canonical, patterns = f"site{topic_id}", _NAV_ALIAS_PATTERNS
+    else:
+        canonical, patterns = f"topic {topic_id}", _NON_NAV_ALIAS_PATTERNS
+    return [canonical] + [p.format(t=topic_id) for p in patterns[:n_aliases]]
+
+
+def _topic_results(
+    topic_id: int, n_results: int, navigational: bool, shared_site: int
+) -> Tuple[List[str], List[str]]:
+    """URLs and titles of a topic's results.
+
+    A site's second result is its secondary page; a non-navigational
+    topic's second result is site ``shared_site`` unless that is negative.
+    """
+    if navigational:
+        url = f"www.site{topic_id}.com"
+        urls = [url, f"{url}/login"]
+        titles = [f"Site {topic_id}", f"Site {topic_id} login"]
+        return urls[:n_results], titles[:n_results]
+    urls = [f"www.info{topic_id}.org/page{k}" for k in range(n_results)]
+    titles = [f"Topic {topic_id} page {k}" for k in range(n_results)]
+    if shared_site >= 0:
+        urls[1], titles[1] = f"www.site{shared_site}.com", "Shared site result"
+    return urls, titles
+
+
+@dataclass(eq=False, repr=False)
 class Vocabulary:
-    """The generated topic universe.
+    """The generated topic universe, as flat columns.
+
+    Topics are numbered navigational first.  Topic ``t`` owns the queries
+    ``query_offsets[t]:query_offsets[t + 1]`` of the query columns, its
+    canonical query first, and the results
+    ``result_offsets[t]:result_offsets[t + 1]`` of the result columns.  A
+    result reached from several topics appears under each of them.
+
+    Attributes:
+        topic_navigational, topic_weight: per topic; the weights sum to 1.
+        query_offsets, result_offsets: per topic, then the column's end.
+        query_text, query_share, query_navigational: per query; a topic's
+            shares sum to 1.
+        result_url, result_share: per result; a topic's shares sum to 1.
+        result_record_bytes: per result, the bytes it takes in the
+            PocketSearch database (title + URL + human-readable URL +
+            snippet), ~500 B on average as the paper reports.
 
     Use :meth:`build` to construct one from a :class:`VocabularyConfig`.
     """
 
-    def __init__(self, config: VocabularyConfig, topics: List[Topic]) -> None:
-        self.config = config
-        self.topics = topics
+    config: VocabularyConfig
+    topic_navigational: np.ndarray
+    topic_weight: np.ndarray
+    query_offsets: np.ndarray
+    query_text: List[str]
+    query_share: np.ndarray
+    query_navigational: np.ndarray
+    result_offsets: np.ndarray
+    result_url: List[str]
+    result_share: np.ndarray
+    result_record_bytes: np.ndarray
 
     @classmethod
     def build(cls, config: VocabularyConfig = VocabularyConfig()) -> "Vocabulary":
+        n_nav = config.n_nav_topics
         rng = np.random.default_rng(config.seed)
-        topics: List[Topic] = []
-        nav_w = _zipf_weights(config.n_nav_topics, config.nav_zipf_s)
-        non_nav_w = _zipf_weights(config.n_non_nav_topics, config.non_nav_zipf_s)
+        # The scalar draws, topic by topic.  Poisson, binomial and the
+        # ziggurat normal consume a variable number of raw words, so
+        # batching them would change the stream.  ``snippets`` holds each
+        # result's N(500, 60) snippet size in result order, clipped to
+        # [300, 700] bytes below.
+        n_aliases: List[int] = []
+        n_results: List[int] = []
+        shared_site: List[int] = [-1] * n_nav
+        snippets: List[float] = []
+        for rate in _alias_rates(n_nav, config.nav_alias_rate):
+            n_aliases.append(min(int(rng.poisson(rate)), len(_NAV_ALIAS_PATTERNS)))
+            snippets.append(rng.normal(500, 60))
+            n_results.append(1)
+            if rng.random() < config.nav_extra_result_p:
+                # Popular sites are also reached through a secondary page
+                # (login or mobile frontend) that users click directly.
+                snippets.append(rng.normal(500, 60))
+                n_results[-1] = 2
+        for rate in _alias_rates(config.n_non_nav_topics, config.non_nav_alias_rate):
+            n_aliases.append(min(int(rng.poisson(rate)), len(_NON_NAV_ALIAS_PATTERNS)))
+            n = 1 + int(rng.binomial(2, config.extra_result_p))
+            site = -1
+            if rng.random() < config.shared_result_p:
+                # Popular destinations are reached from many topics (the
+                # paper's "michael jackson" -> imdb example): the topic's
+                # second result is a popular navigational site.
+                site = min(int(rng.exponential(config.shared_result_scale)), n_nav - 1)
+                n = max(n, 2)
+            shared_site.append(site)
+            n_results.append(n)
+            snippets.extend([rng.normal(500, 60) for _ in range(n)])
 
-        for i in range(config.n_nav_topics):
-            topics.append(
-                cls._build_nav_topic(
-                    topic_id=i,
-                    weight=float(nav_w[i]) * config.nav_volume_share,
-                    rank_fraction=i / config.n_nav_topics,
-                    config=config,
-                    rng=rng,
-                )
-            )
-        offset = config.n_nav_topics
-        for i in range(config.n_non_nav_topics):
-            topics.append(
-                cls._build_non_nav_topic(
-                    topic_id=offset + i,
-                    weight=float(non_nav_w[i]) * (1 - config.nav_volume_share),
-                    rank_fraction=i / config.n_non_nav_topics,
-                    config=config,
-                    rng=rng,
-                )
-            )
-        return cls(config, topics)
+        query_text: List[str] = []
+        result_url: List[str] = []
+        title_bytes: List[int] = []
+        for t, (n, site) in enumerate(zip(n_results, shared_site)):
+            query_text += _topic_queries(t, n_aliases[t], t < n_nav)
+            urls, titles = _topic_results(t, n, t < n_nav, site)
+            result_url += urls
+            title_bytes += map(len, titles)
 
-    @staticmethod
-    def _alias_boost(rank_fraction: float) -> float:
-        """Popular topics collect more misspellings and shortcuts.
-
-        The very popular sites ("youtube", "bank of america") are typed by
-        millions of users and accumulate misspelling variants ("yotube")
-        and shortcuts ("boa"); tail topics are typically reached one way.
-        """
-        if rank_fraction < 0.05:
-            return 4.0
-        if rank_fraction < 0.20:
-            return 2.2
-        return 0.8
-
-    # -- construction helpers -------------------------------------------------
-
-    @staticmethod
-    def _query_shares(n: int, canonical_share: float) -> List[float]:
-        """Volume shares for a canonical query plus ``n - 1`` aliases."""
-        if n == 1:
-            return [1.0]
-        alias_total = 1.0 - canonical_share
-        # Aliases get geometrically decreasing shares of the alias mass.
-        raw = [0.65**k for k in range(n - 1)]
-        norm = sum(raw)
-        return [canonical_share] + [alias_total * r / norm for r in raw]
-
-    @classmethod
-    def _build_nav_topic(
-        cls,
-        topic_id: int,
-        weight: float,
-        rank_fraction: float,
-        config: VocabularyConfig,
-        rng: np.random.Generator,
-    ) -> Topic:
-        site = f"site{topic_id}"
-        url = f"www.{site}.com"
-        rate = config.nav_alias_rate * cls._alias_boost(rank_fraction)
-        n_aliases = min(int(rng.poisson(rate)), len(_NAV_ALIAS_PATTERNS))
-        names = [site] + [
-            _NAV_ALIAS_PATTERNS[k].format(t=topic_id) for k in range(n_aliases)
-        ]
-        shares = cls._query_shares(len(names), config.canonical_query_share)
-        queries = [
-            QueryDef(text=q, share=s, navigational=is_navigational(q, url))
-            for q, s in zip(names, shares)
-        ]
-        snippet = _snippet_bytes(rng)
-        results = [
-            ResultDef(url=url, title=f"Site {topic_id}", snippet_bytes=snippet, share=1.0)
-        ]
-        if rng.random() < config.nav_extra_result_p:
-            # Popular sites are also reached through a secondary page
-            # (login or mobile frontend) that users click directly.
-            snippet2 = _snippet_bytes(rng)
-            results = [
-                ResultDef(url=url, title=f"Site {topic_id}", snippet_bytes=snippet, share=0.55),
-                ResultDef(
-                    url=f"{url}/login",
-                    title=f"Site {topic_id} login",
-                    snippet_bytes=snippet2,
-                    share=0.45,
-                ),
-            ]
-        return Topic(topic_id, True, weight, queries, results)
-
-    @classmethod
-    def _build_non_nav_topic(
-        cls,
-        topic_id: int,
-        weight: float,
-        rank_fraction: float,
-        config: VocabularyConfig,
-        rng: np.random.Generator,
-    ) -> Topic:
-        name = f"topic {topic_id}"
-        rate = config.non_nav_alias_rate * cls._alias_boost(rank_fraction)
-        n_aliases = min(int(rng.poisson(rate)), len(_NON_NAV_ALIAS_PATTERNS))
-        names = [name] + [
-            _NON_NAV_ALIAS_PATTERNS[k].format(t=topic_id) for k in range(n_aliases)
-        ]
-        q_shares = cls._query_shares(len(names), config.canonical_query_share)
-
-        n_results = 1 + int(rng.binomial(2, config.extra_result_p))
-        shared_url = None
-        if rng.random() < config.shared_result_p:
-            # Popular destinations are reached from many topics (the
-            # paper's "michael jackson" -> imdb example): one of this
-            # topic's results is a popular navigational site.
-            site = min(
-                int(rng.exponential(config.shared_result_scale)),
-                config.n_nav_topics - 1,
-            )
-            shared_url = f"www.site{site}.com"
-            n_results = max(n_results, 2)
-        r_raw = [0.8**k for k in range(n_results)]
-        r_norm = sum(r_raw)
-        results = []
-        for k in range(n_results):
-            snippet = _snippet_bytes(rng)
-            if shared_url is not None and k == 1:
-                url, title = shared_url, f"Shared site result"
-            else:
-                url, title = f"www.info{topic_id}.org/page{k}", f"Topic {topic_id} page {k}"
-            results.append(
-                ResultDef(
-                    url=url,
-                    title=title,
-                    snippet_bytes=snippet,
-                    share=r_raw[k] / r_norm,
-                )
-            )
-        queries = [
-            QueryDef(text=q, share=s, navigational=is_navigational(q, results[0].url))
-            for q, s in zip(names, q_shares)
-        ]
-        return Topic(topic_id, False, weight, queries, results)
+        topic_queries = 1 + np.asarray(n_aliases)
+        topic_results = np.asarray(n_results)
+        result_offsets = ragged(topic_results)[0]
+        first_url = [result_url[r] for r in result_offsets[:-1].tolist()]
+        query_topic = np.repeat(np.arange(len(n_results)), topic_queries).tolist()
+        nav_weight = _zipf_weights(n_nav, config.nav_zipf_s) * config.nav_volume_share
+        non_nav_weight = _zipf_weights(
+            config.n_non_nav_topics, config.non_nav_zipf_s
+        ) * (1 - config.nav_volume_share)
+        return cls(
+            config=config,
+            topic_navigational=np.arange(len(n_results)) < n_nav,
+            topic_weight=np.concatenate([nav_weight, non_nav_weight]),
+            query_offsets=ragged(topic_queries)[0],
+            query_text=query_text,
+            query_share=_share_column(
+                topic_queries, lambda n: _query_shares(n, config.canonical_query_share)
+            ),
+            query_navigational=np.array(
+                [is_navigational(q, first_url[t]) for q, t in zip(query_text, query_topic)],
+                dtype=bool,
+            ),
+            result_offsets=result_offsets,
+            result_url=result_url,
+            result_share=np.concatenate(
+                [
+                    _share_column(topic_results[:n_nav], _nav_result_shares),
+                    _share_column(topic_results[n_nav:], _result_shares),
+                ]
+            ),
+            result_record_bytes=np.asarray(title_bytes, dtype=np.int64)
+            + 2 * np.fromiter(map(len, result_url), np.int64, len(result_url))
+            + np.clip(snippets, 300, 700).astype(np.int64),
+        )
 
     # -- stats ---------------------------------------------------------------
 
     @property
     def n_queries(self) -> int:
-        return sum(len(t.queries) for t in self.topics)
+        return len(self.query_text)
 
     @property
     def n_results(self) -> int:
-        return sum(len(t.results) for t in self.topics)
-
-    @property
-    def n_pairs(self) -> int:
-        return sum(len(t.queries) * len(t.results) for t in self.topics)
+        return len(self.result_url)

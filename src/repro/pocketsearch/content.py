@@ -370,7 +370,7 @@ def result_record_bytes(log: SearchLog, result_key: int) -> int:
     record size, personal ones :data:`DEFAULT_RECORD_BYTES`."""
     community = log.community
     if result_key < community.n_results:
-        return community.result_records[result_key].record_bytes
+        return int(community.result_record_bytes[result_key])
     return DEFAULT_RECORD_BYTES
 
 
@@ -420,7 +420,7 @@ def build_cache_content_from_model(
         q = int(community.pair_query[pair])
         r = int(community.pair_result[pair])
         url = community.result_urls[r]
-        record_bytes = community.result_records[r].record_bytes
+        record_bytes = int(community.result_record_bytes[r])
         added_flash = 0 if url in seen_urls else record_bytes
         if (
             policy.max_flash_bytes is not None

@@ -53,7 +53,7 @@ from repro.pocketsearch.database import ResultDatabase
 from repro.pocketsearch.engine import PocketSearchEngine
 from repro.pocketsearch.manager import CacheUpdateServer
 from repro.sim.metrics import MetricsCollector
-from repro.sim.vectorized import replay_user_vectorized
+from repro.sim.vectorized import month_content, replay_user_vectorized
 from repro.storage.filesystem import FlashFilesystem
 from repro.storage.flash import NandFlash
 
@@ -321,8 +321,9 @@ def run_replay(
     """
     tracer = get_tracer()
     with tracer.span("build_cache_content", month=config.build_month):
-        build_log = log.month(config.build_month)
-        content = build_cache_content(build_log, config.policy)
+        content = month_content(
+            log, config.build_month, config.policy, build_cache_content
+        )
     if selected_users is None:
         selected_users = select_replay_users(
             log, config.replay_month, config.users_per_class, config.seed

@@ -43,13 +43,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.logs.generator import SearchLog
 from repro.pocketsearch.cache import PocketSearchCache
-from repro.pocketsearch.content import CacheContent, result_record_bytes
+from repro.pocketsearch.content import CacheContent, ContentPolicy, result_record_bytes
 from repro.pocketsearch.database import (
     DIRECTORY_SCAN_S_PER_FILE,
     HEADER_ENTRY_BYTES,
@@ -416,12 +416,8 @@ class ReplayUniverse:
         return rid
 
     def record_bytes_of(self, rkeys: np.ndarray) -> np.ndarray:
-        """Stored size per clicked result (:func:`result_record_bytes`).
-
-        Resolved per distinct result key through a cache: community sizes
-        are a computed property of ~1M records at paper scale, so an
-        eager table would cost more than every replay that uses it.
-        """
+        """Stored size per clicked result (:func:`result_record_bytes`),
+        resolved once per distinct result key."""
         log = self.log
         cache = self._rb_of_rkey
         out = np.empty(len(rkeys), dtype=np.int64)
@@ -1042,43 +1038,60 @@ def _emit_outcomes(
 
 # Process-level caches: shards replay many users against the same log /
 # content, and the mirrors are immutable, so they are built once per
-# worker.  Strong references to the keyed objects are kept alongside so
-# id() keys can never alias a collected object.
-_UNIVERSE_CACHE: Dict[
-    Tuple[int, int, str], Tuple[Optional[CacheContent], ReplayUniverse]
-] = {}
-_BATCH_CACHE: Dict[Tuple[int, float, float, int], object] = {}
+# worker.  An entry keeps the objects whose id() its key holds, so a key
+# can never alias a collected object.
+_UNIVERSE_CACHE: Dict[tuple, tuple] = {}
+_BATCH_CACHE: Dict[tuple, tuple] = {}
+_CONTENT_CACHE: Dict[tuple, tuple] = {}
 _CACHE_LIMIT = 8
+
+
+def _memoized(cache: Dict[tuple, tuple], owners: tuple, params: tuple, build):
+    """``build()``, cached under the ids of ``owners`` and ``params``."""
+    key = tuple(map(id, owners)) + params
+    found = cache.get(key)
+    if found is not None and all(a is b for a, b in zip(found[0], owners)):
+        return found[1]
+    if len(cache) >= _CACHE_LIMIT:
+        cache.clear()
+    value = build()
+    cache[key] = (owners, value)
+    return value
 
 
 def _universe_for(
     log: SearchLog, content: Optional[CacheContent], mode: str
 ) -> ReplayUniverse:
-    key = (id(log), id(content), mode)
-    found = _UNIVERSE_CACHE.get(key)
-    if found is not None and found[0] is content and found[1].log is log:
-        return found[1]
-    if len(_UNIVERSE_CACHE) >= _CACHE_LIMIT:
-        _UNIVERSE_CACHE.clear()
-    universe = ReplayUniverse(log, content, mode)
-    _UNIVERSE_CACHE[key] = (content, universe)
-    return universe
+    return _memoized(
+        _UNIVERSE_CACHE, (log, content), (mode,),
+        lambda: ReplayUniverse(log, content, mode),
+    )
 
 
 def _batch_for(log: SearchLog, t_start: float, t_end: float, seed: int):
     from repro.logs.columnar import ColumnarEventBatch
 
-    key = (id(log), t_start, t_end, seed)
-    found = _BATCH_CACHE.get(key)
-    if found is not None and found[0] is log:
-        return found[1]
-    if len(_BATCH_CACHE) >= _CACHE_LIMIT:
-        _BATCH_CACHE.clear()
-    batch = ColumnarEventBatch.from_log(
-        log, t_start=t_start, t_end=t_end, seed=seed
+    return _memoized(
+        _BATCH_CACHE, (log,), (t_start, t_end, seed),
+        lambda: ColumnarEventBatch.from_log(
+            log, t_start=t_start, t_end=t_end, seed=seed
+        ),
     )
-    _BATCH_CACHE[key] = (log, batch)
-    return batch
+
+
+def month_content(
+    log: SearchLog,
+    month: int,
+    policy: ContentPolicy,
+    build: Callable[[SearchLog, ContentPolicy], CacheContent],
+) -> CacheContent:
+    """``build(log.month(month), policy)``, mined once per (log, month,
+    policy): a static and a daily-update replay of one log share the
+    content, and with it their universe."""
+    return _memoized(
+        _CONTENT_CACHE, (log,), (month, policy),
+        lambda: build(log.month(month), policy),
+    )
 
 
 def replay_user_vectorized(
@@ -1118,6 +1131,8 @@ def replay_user_vectorized(
 
 
 def clear_caches() -> None:
-    """Drop the process-level universe/batch caches (test hygiene)."""
+    """Drop the process-level universe, batch and content caches, so the
+    next replay starts cold."""
     _UNIVERSE_CACHE.clear()
     _BATCH_CACHE.clear()
+    _CONTENT_CACHE.clear()

@@ -11,8 +11,8 @@ Regenerate the fixture only after an intended change to the logs::
 
     PYTHONPATH=src python -m tests.logs.test_generator_golden
 
-Print the digests of the paper-scale two-month log (too slow for the
-suite)::
+Check the paper-scale two-month log (too slow for the suite) against its
+own fixture; the digests are printed, and a mismatch exits 1::
 
     PYTHONPATH=src python -m tests.logs.test_generator_golden --paper-scale
 """
@@ -26,9 +26,9 @@ import pytest
 
 from repro.experiments.common import default_log, desktop_log
 
-FIXTURE = os.path.join(
-    os.path.dirname(__file__), os.pardir, "fixtures", "generator_golden.json"
-)
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
+FIXTURE = os.path.join(FIXTURES, "generator_golden.json")
+PAPER_SCALE_FIXTURE = os.path.join(FIXTURES, "generator_golden_paper_scale.json")
 
 COLUMNS = (
     "user_ids",
@@ -96,12 +96,25 @@ class TestGeneratorGolden:
         assert log_digests(desktop_log()) == golden["desktop_seed29"]
 
 
+def _check_paper_scale() -> int:
+    from repro.experiments.scale import paper_scale_log
+
+    digests = log_digests(paper_scale_log(months=2))
+    print(json.dumps(digests, indent=2, sort_keys=True))
+    with open(PAPER_SCALE_FIXTURE) as fh:
+        golden = json.load(fh)
+    moved = sorted(k for k in golden.keys() | digests.keys()
+                   if golden.get(k) != digests.get(k))
+    if moved:
+        print(f"paper-scale digests differ from {PAPER_SCALE_FIXTURE}: "
+              f"{', '.join(moved)}", file=sys.stderr)
+        return 1
+    return 0
+
+
 def _main(argv) -> None:
     if argv == ["--paper-scale"]:
-        from repro.experiments.scale import paper_scale_log
-
-        print(json.dumps(log_digests(paper_scale_log(months=2)), indent=2))
-        return
+        sys.exit(_check_paper_scale())
     doc = {name: log_digests(build()) for name, build in LOGS.items()}
     with open(FIXTURE, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)

@@ -1,10 +1,14 @@
 """Tests for the community popularity model."""
 
+import gc
+
 import numpy as np
 import pytest
 
-from repro.logs.popularity import PairGroups
+from repro.logs.generator import GeneratorConfig, generate_logs
+from repro.logs.popularity import CommunityModel, PairGroups
 from repro.logs.schema import Triplet
+from repro.logs.vocabulary import Vocabulary, VocabularyConfig
 
 
 class TestFlattening:
@@ -23,6 +27,41 @@ class TestFlattening:
     def test_rank_order_descending(self, small_community):
         probs = small_community.pair_prob[small_community.rank_order]
         assert all(b <= a for a, b in zip(probs, probs[1:]))
+
+
+def tracked_reachable(root) -> int:
+    """Objects the cyclic collector tracks among those reachable from
+    ``root`` through ``gc.get_referents``, classes not entered."""
+    seen = {id(root)}
+    stack = [root]
+    count = 0
+    while stack:
+        obj = stack.pop()
+        count += gc.is_tracked(obj)
+        for ref in gc.get_referents(obj):
+            if not isinstance(ref, type) and id(ref) not in seen:
+                seen.add(id(ref))
+                stack.append(ref)
+    return count
+
+
+class TestFootprint:
+    def test_no_object_per_item(self, small_population):
+        """The model is columns: a four times larger universe, sampled by
+        the same population, leaves the collector as many objects to walk."""
+        counts = []
+        for n_nav, n_non_nav in ((300, 400), (1200, 1600)):
+            config = VocabularyConfig(
+                n_nav_topics=n_nav, n_non_nav_topics=n_non_nav, seed=7
+            )
+            community = CommunityModel(Vocabulary.build(config))
+            generate_logs(
+                community=community,
+                population=small_population,
+                config=GeneratorConfig(months=1, seed=23),
+            )
+            counts.append(tracked_reachable(community))
+        assert counts[0] == counts[1]
 
 
 class TestSampling:

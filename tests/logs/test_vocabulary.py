@@ -1,5 +1,6 @@
 """Tests for the synthetic query/result universe."""
 
+import numpy as np
 import pytest
 
 from repro.logs.schema import is_navigational
@@ -18,46 +19,52 @@ class TestConfigValidation:
             VocabularyConfig(canonical_query_share=1.5)
 
 
+def _span(offsets, t):
+    """The column indices topic ``t`` owns, given the column's offsets."""
+    return range(offsets[t], offsets[t + 1])
+
+
 class TestStructure:
     def test_topic_counts(self, small_vocabulary):
         config = small_vocabulary.config
-        nav = [t for t in small_vocabulary.topics if t.navigational]
-        non = [t for t in small_vocabulary.topics if not t.navigational]
-        assert len(nav) == config.n_nav_topics
-        assert len(non) == config.n_non_nav_topics
+        nav = small_vocabulary.topic_navigational
+        assert int(nav.sum()) == config.n_nav_topics
+        assert int((~nav).sum()) == config.n_non_nav_topics
 
     def test_weights_sum_to_one(self, small_vocabulary):
-        total = sum(t.weight for t in small_vocabulary.topics)
+        total = sum(small_vocabulary.topic_weight.tolist())
         assert total == pytest.approx(1.0)
 
     def test_query_shares_sum_to_one(self, small_vocabulary):
-        for topic in small_vocabulary.topics[:50]:
-            assert sum(q.share for q in topic.queries) == pytest.approx(1.0)
+        v = small_vocabulary
+        for t in range(50):
+            shares = [v.query_share[q] for q in _span(v.query_offsets, t)]
+            assert sum(shares) == pytest.approx(1.0)
 
     def test_result_shares_sum_to_one(self, small_vocabulary):
-        for topic in small_vocabulary.topics[:50]:
-            assert sum(r.share for r in topic.results) == pytest.approx(1.0)
+        v = small_vocabulary
+        for t in range(50):
+            shares = [v.result_share[r] for r in _span(v.result_offsets, t)]
+            assert sum(shares) == pytest.approx(1.0)
 
     def test_nav_canonical_is_navigational(self, small_vocabulary):
-        for topic in small_vocabulary.topics:
-            if topic.navigational:
-                canonical = topic.queries[0]
-                assert canonical.navigational
-                assert is_navigational(canonical.text, topic.results[0].url)
+        v = small_vocabulary
+        for t in np.flatnonzero(v.topic_navigational):
+            canonical = v.query_offsets[t]
+            assert v.query_navigational[canonical]
+            assert is_navigational(
+                v.query_text[canonical], v.result_url[v.result_offsets[t]]
+            )
 
     def test_aliases_are_not_navigational(self, small_vocabulary):
-        for topic in small_vocabulary.topics:
-            if topic.navigational:
-                for alias in topic.queries[1:]:
-                    assert not alias.navigational
+        v = small_vocabulary
+        for t in np.flatnonzero(v.topic_navigational):
+            for alias in _span(v.query_offsets, t)[1:]:
+                assert not v.query_navigational[alias]
 
     def test_record_bytes_about_500(self, small_vocabulary):
         """The paper: ~500 bytes per stored search result."""
-        sizes = [
-            r.record_bytes
-            for t in small_vocabulary.topics
-            for r in t.results
-        ]
+        sizes = small_vocabulary.result_record_bytes.tolist()
         mean = sum(sizes) / len(sizes)
         assert 400 <= mean <= 700
 
@@ -66,36 +73,35 @@ class TestStructure:
         assert small_vocabulary.n_queries > small_vocabulary.n_results
 
     def test_popular_topics_have_more_aliases(self, small_vocabulary):
-        nav = [t for t in small_vocabulary.topics if t.navigational]
+        v = small_vocabulary
+        n_queries = np.diff(v.query_offsets)
+        nav = n_queries[v.topic_navigational].tolist()
         top = nav[: len(nav) // 10]
         tail = nav[-len(nav) // 2 :]
-        top_mean = sum(len(t.queries) for t in top) / len(top)
-        tail_mean = sum(len(t.queries) for t in tail) / len(tail)
+        top_mean = sum(top) / len(top)
+        tail_mean = sum(tail) / len(tail)
         assert top_mean > tail_mean
 
     def test_deterministic_given_seed(self):
         config = VocabularyConfig(n_nav_topics=50, n_non_nav_topics=50, seed=3)
         a = Vocabulary.build(config)
         b = Vocabulary.build(config)
-        assert [t.queries[0].text for t in a.topics] == [
-            t.queries[0].text for t in b.topics
+        assert [a.query_text[q] for q in a.query_offsets[:-1]] == [
+            b.query_text[q] for q in b.query_offsets[:-1]
         ]
-        assert [len(t.queries) for t in a.topics] == [
-            len(t.queries) for t in b.topics
-        ]
+        assert np.diff(a.query_offsets).tolist() == np.diff(b.query_offsets).tolist()
 
     def test_shared_results_reference_nav_sites(self, small_vocabulary):
         """Some non-nav topics point at popular nav site URLs."""
+        v = small_vocabulary
         nav_urls = {
-            t.results[0].url
-            for t in small_vocabulary.topics
-            if t.navigational
+            v.result_url[v.result_offsets[t]]
+            for t in np.flatnonzero(v.topic_navigational)
         }
         shared = [
-            r.url
-            for t in small_vocabulary.topics
-            if not t.navigational
-            for r in t.results
-            if r.url in nav_urls
+            v.result_url[r]
+            for t in np.flatnonzero(~v.topic_navigational)
+            for r in _span(v.result_offsets, t)
+            if v.result_url[r] in nav_urls
         ]
         assert len(shared) > 0
