@@ -21,7 +21,6 @@ still proves determinism.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 

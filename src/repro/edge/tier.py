@@ -176,6 +176,9 @@ class EdgeTier:
         }
         self._device_regions: Dict[int, int] = {}
         self.sheds = 0
+        #: the last :meth:`stats` snapshot, dropped whenever a fetch, shed,
+        #: flush or slice seeding moves a counter
+        self._stats: Optional[Dict[str, object]] = None
         #: called as ``fn(t, node_id, n_deltas)`` after each propagation
         #: flush — the flight recorder hangs off this.
         self.on_flush: Optional[Callable[[float, int, int], None]] = None
@@ -232,12 +235,14 @@ class EdgeTier:
         if bound is not None and node.inflight >= bound:
             node.sheds += 1
             self.sheds += 1
+            self._stats = None
             if trace is not None:
                 trace.annotate(edge_node=node.node_id)
             return EdgeFetchResult(
                 node_id=node.node_id, shed=True, reason=EDGE_SHED_REASON
             )
         node.inflight += 1
+        self._stats = None
         try:
             rtt = self.topology.edge_rtt_s * scale
             if rtt > 0:
@@ -246,6 +251,9 @@ class EdgeTier:
                 trace.mark("edge_hop", loop.time())
             hit = node.lookup(key)
             node.record_delta(key)
+            # Also covers the batcher's fetch counters, which move before
+            # its first await.
+            self._stats = None
             if hit:
                 service = self.topology.edge_service_s * scale
                 if service > 0:
@@ -289,6 +297,8 @@ class EdgeTier:
                 )
         finally:
             node.inflight -= 1
+            # Also covers the admission above and the flush below.
+            self._stats = None
         self._maybe_flush(node, loop.time())
         return result
 
@@ -313,6 +323,7 @@ class EdgeTier:
 
     def flush_all(self) -> None:
         """Propagate every pending delta (end-of-run settlement)."""
+        self._stats = None
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             while node.pending_deltas:
@@ -324,6 +335,7 @@ class EdgeTier:
         eventual community refresh), accounted as one ``UpdatePatch``."""
         if per_node <= 0:
             raise ValueError("per_node must be positive")
+        self._stats = None
         top = self.origin.top_keys(per_node * len(self.nodes))
         pushed = 0
         for node_id in sorted(self.nodes):
@@ -351,6 +363,7 @@ class EdgeTier:
         replicates the ranking (any node may be asked for any key).
         """
         ordered = sorted(scored_keys, key=lambda kv: (kv[1], kv[0]))
+        self._stats = None
         seeded = 0
         for key, _ in ordered:
             if self.topology.routing == "key":
@@ -389,15 +402,24 @@ class EdgeTier:
         )
 
     def stats(self) -> Dict[str, object]:
-        return {
-            "n_nodes": self.topology.n_nodes,
-            "routing": self.topology.routing,
-            "community_hits": self.community_hits,
-            "community_misses": self.community_misses,
-            "community_hit_rate": self.community_hit_rate,
-            "origin_fetches": self.origin_fetches,
-            "origin_piggybacked": self.origin_piggybacked,
-            "sheds": self.sheds,
-            "origin": self.origin.stats(),
-            "nodes": [self.nodes[i].stats() for i in sorted(self.nodes)],
-        }
+        """Fleet totals and per-node rows.
+
+        The snapshot is rebuilt only after the tier's own fetches, sheds,
+        flushes or slice seeding have moved a counter; between those the
+        same (read-only) dict is returned.  Code that drives nodes
+        directly reads their ``stats()`` instead.
+        """
+        if self._stats is None:
+            self._stats = {
+                "n_nodes": self.topology.n_nodes,
+                "routing": self.topology.routing,
+                "community_hits": self.community_hits,
+                "community_misses": self.community_misses,
+                "community_hit_rate": self.community_hit_rate,
+                "origin_fetches": self.origin_fetches,
+                "origin_piggybacked": self.origin_piggybacked,
+                "sheds": self.sheds,
+                "origin": self.origin.stats(),
+                "nodes": [self.nodes[i].stats() for i in sorted(self.nodes)],
+            }
+        return self._stats

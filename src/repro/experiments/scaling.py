@@ -6,7 +6,6 @@ from typing import Dict, List, Tuple
 
 from repro.nvmscaling.capacity import TABLE2_BUDGET_BYTES, table2_rows
 from repro.nvmscaling.projection import (
-    GB,
     CapacityProjection,
     ScalingScenario,
     project_capacity_series,

@@ -3,9 +3,11 @@
 The universe is organised in *topics*.  A topic bundles the query strings
 users type for one information need with the search results they click:
 
-* a **navigational** topic has a single result (the site) reached through
-  its canonical site-name query (navigational by the paper's substring
-  test) plus misspelling/shortcut aliases ("yotube", "boa") that are not
+* a **navigational** topic has the site itself plus, with probability
+  ``nav_extra_result_p`` (0.60), a ``/login`` page users click directly
+  (7,156 of the default 12,000 sites have one), reached through its
+  canonical site-name query (navigational by the paper's substring test)
+  plus misspelling/shortcut aliases ("yotube", "boa") that are not
   substrings of the URL;
 * a **non-navigational** topic ("michael jackson") has one or two query
   phrasings and one to three clicked results with uneven click shares.

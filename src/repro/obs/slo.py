@@ -48,7 +48,7 @@ Policies are plain data (JSON-loadable) so CI can keep them in a file::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.timeseries import BucketRing

@@ -21,6 +21,7 @@ from repro.pocketsearch.content import CacheContent, DEFAULT_RECORD_BYTES
 from repro.pocketsearch.database import ResultDatabase
 from repro.pocketsearch.hashtable import QueryHashTable, hash64
 from repro.pocketsearch.ranking import PersonalizedRanker
+from repro.storage.device import shallow_copy
 from repro.storage.filesystem import FlashFilesystem
 from repro.storage.flash import NandFlash
 
@@ -67,6 +68,11 @@ class VersionedRegistry(dict):
     def setdefault(self, key, default=None):
         self.version += 1
         return super().setdefault(key, default)
+
+    def copy(self) -> "VersionedRegistry":
+        clone = VersionedRegistry(self)
+        clone.version = self.version
+        return clone
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,21 @@ class PocketSearchCache:
         )
         cache.load_community(content)
         return cache
+
+    def copy(self) -> "PocketSearchCache":
+        """An independent cache in the same state.
+
+        The community component is the same for every phone (Section
+        5.1), so a fleet loads it once into an image and gives each
+        device a copy: the hash table, the result database, its flash
+        filesystem and the flash counters are copied, the immutable
+        ranker is shared.
+        """
+        clone = shallow_copy(self)
+        clone.hashtable = self.hashtable.copy()
+        clone.database = self.database.copy()
+        clone.query_registry = self.query_registry.copy()
+        return clone
 
     def load_community(self, content: CacheContent) -> None:
         """Insert community pairs (flags clear: not user-accessed)."""

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.pocketsearch.hashtable import hash64
+from repro.storage.device import shallow_copy
 from repro.storage.filesystem import FlashFilesystem
 
 #: The paper's file count (Figure 12).
@@ -90,6 +91,16 @@ class ResultDatabase:
         self._garbage_bytes = 0
         for i in range(n_files):
             filesystem.create(self._file_name(i))
+
+    def copy(self) -> "ResultDatabase":
+        """An independent database over a copy of its filesystem; stored
+        results are immutable and shared."""
+        clone = shallow_copy(self)
+        clone.filesystem = self.filesystem.copy()
+        clone._index = dict(self._index)
+        clone._file_sizes = list(self._file_sizes)
+        clone._file_entries = list(self._file_entries)
+        return clone
 
     def _file_name(self, i: int) -> str:
         return f"{self.name_prefix}.{i:04d}"

@@ -22,6 +22,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.storage.device import shallow_copy
+
 #: Fixed per-entry costs, in bytes.
 QUERY_HASH_BYTES = 8
 RESULT_HASH_BYTES = 8
@@ -107,6 +109,19 @@ class QueryHashTable:
         # Keyed by (query_hash, chain index).
         self._entries: Dict[Tuple[int, int], HashEntry] = {}
         self.total_lookups = 0
+
+    def copy(self) -> "QueryHashTable":
+        """An independent table with the same entries and counters."""
+        clone = shallow_copy(self)
+        clone._entries = {
+            key: HashEntry(
+                entry.query_hash,
+                entry.capacity,
+                [_Slot(s.result_hash, s.score, s.accessed) for s in entry.slots],
+            )
+            for key, entry in self._entries.items()
+        }
+        return clone
 
     # -- write path ---------------------------------------------------------
 

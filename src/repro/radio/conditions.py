@@ -11,8 +11,6 @@ experiments can report full latency distributions rather than means.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
-
 import numpy as np
 
 from repro.radio.models import RadioProfile

@@ -454,9 +454,12 @@ async def _serve_mode(
     edge_topology: Optional[EdgeTopology] = None,
 ) -> Tuple[List[UserReplayResult], ServeReport]:
     updates_on = config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY
+    # Every device starts from the same cache: load it once, copy it
+    # per device.
+    image = make_cache(content, mode)
 
     def backend_factory(device_id: int):
-        engine = PocketSearchEngine(make_cache(content, mode))
+        engine = PocketSearchEngine(image.copy())
         backend = SearchBackend(engine)
         if updates_on:
             # Event-synced nightly refresh: replay-equivalent ordering
@@ -550,9 +553,10 @@ def run_loadtest(
 ) -> Tuple[ServeReport, Workload]:
     """Load-test the server on the virtual clock.
 
-    Devices serve from fresh full-mode caches whose community content is
-    mined from ``build_month``; the workload replays ``workload_month``
-    traffic at ``loadgen.rate_multiplier`` times its natural rate.
+    Devices serve from copies of one full-mode cache whose community
+    content is mined from ``build_month``; the workload replays
+    ``workload_month`` traffic at ``loadgen.rate_multiplier`` times its
+    natural rate.
 
     Args:
         refresh_interval_s: if set, runs the background cache refresh
@@ -580,8 +584,12 @@ def run_loadtest(
             kwargs["battery_capacity_j"] = battery_capacity_j
         telemetry = ServeTelemetry(**kwargs)
 
+    # The community image every phone bulk-loads (Section 5.1), loaded
+    # once; each device serves from its own copy.
+    image = make_cache(content, CacheMode.FULL)
+
     def backend_factory(device_id: int) -> SearchBackend:
-        return SearchBackend(PocketSearchEngine(make_cache(content, CacheMode.FULL)))
+        return SearchBackend(PocketSearchEngine(image.copy()))
 
     refresh_fn = None
     if refresh_interval_s is not None:

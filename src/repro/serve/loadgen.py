@@ -162,57 +162,59 @@ class Workload:
 
 
 class _DeviceScript:
-    """One device's logged query sequence, replayed in order, cycling."""
+    """One device's logged query sequence, replayed in order, cycling.
 
-    __slots__ = ("requests", "next_i")
+    Holds the device's row indices into the month log; a request is
+    built only when the schedule takes one.
+    """
 
-    def __init__(self, requests: List[ServeRequest]) -> None:
-        self.requests = requests
+    __slots__ = ("log", "device_id", "rows", "next_i")
+
+    def __init__(
+        self, log: SearchLog, device_id: int, rows: np.ndarray
+    ) -> None:
+        self.log = log
+        self.device_id = device_id
+        self.rows = rows
         self.next_i = 0
 
     def take(self, timestamp: float) -> ServeRequest:
-        template = self.requests[self.next_i % len(self.requests)]
+        row = self.rows[self.next_i % len(self.rows)]
         self.next_i += 1
-        # Re-stamp with the schedule's arrival time so serve-layer
+        log = self.log
+        rkey = int(log.result_keys[row])
+        # Stamped with the schedule's arrival time so serve-layer
         # accounting (windows, refresh days) sees loop-clock time.
         return ServeRequest(
-            device_id=template.device_id,
-            key=template.key,
+            device_id=self.device_id,
+            key=log.query_string(int(log.query_keys[row])),
             timestamp=timestamp,
-            clicked_url=template.clicked_url,
-            record_bytes=template.record_bytes,
-            navigational=template.navigational,
+            clicked_url=log.result_url(rkey),
+            record_bytes=result_record_bytes(log, rkey),
+            navigational=bool(log.navigational[row]),
         )
 
 
 def _device_scripts(
     month_log: SearchLog, max_devices: Optional[int]
 ) -> Dict[int, _DeviceScript]:
-    """Per-device request templates, highest-volume devices first."""
-    uids, counts = np.unique(month_log.user_ids, return_counts=True)
+    """Per-device scripts of the highest-volume devices."""
+    user_ids = month_log.user_ids
+    uids, counts = np.unique(user_ids, return_counts=True)
     order = np.argsort(-counts, kind="stable")
     uids = uids[order]
     if max_devices is not None:
         uids = uids[:max_devices]
-    keep = set(int(u) for u in uids)
-    scripts: Dict[int, List[ServeRequest]] = {uid: [] for uid in keep}
-    for i in range(month_log.n_events):
-        uid = int(month_log.user_ids[i])
-        if uid not in scripts:
-            continue
-        qkey = int(month_log.query_keys[i])
-        rkey = int(month_log.result_keys[i])
-        scripts[uid].append(
-            ServeRequest(
-                device_id=uid,
-                key=month_log.query_string(qkey),
-                timestamp=float(month_log.timestamps[i]),
-                clicked_url=month_log.result_url(rkey),
-                record_bytes=result_record_bytes(month_log, rkey),
-                navigational=bool(month_log.navigational[i]),
-            )
-        )
-    return {uid: _DeviceScript(reqs) for uid, reqs in scripts.items() if reqs}
+    # The kept devices' rows, grouped by device and in log order within
+    # each group (a stable sort keeps the log order).
+    rows = np.flatnonzero(np.isin(user_ids, uids))
+    rows = rows[np.argsort(user_ids[rows], kind="stable")]
+    bounds = np.flatnonzero(np.diff(user_ids[rows])) + 1
+    scripts: Dict[int, _DeviceScript] = {}
+    for group in np.split(rows, bounds):
+        uid = int(user_ids[group[0]])
+        scripts[uid] = _DeviceScript(month_log, uid, group)
+    return scripts
 
 
 def build_workload(
@@ -242,16 +244,15 @@ def _log_workload(
 ) -> Workload:
     """The trace's own arrivals, compressed by the rate multiplier."""
     t0 = month * MONTH_SECONDS
-    limit = config.max_devices
-    scripts = _device_scripts(month_log, limit)
+    scripts = _device_scripts(month_log, config.max_devices)
+    offsets = (month_log.timestamps - t0) / config.rate_multiplier
+    kept = np.isin(month_log.user_ids, list(scripts)) & (
+        offsets < config.duration_s
+    )
     arrivals: List[Tuple[float, ServeRequest]] = []
-    for i in range(month_log.n_events):
+    for i in np.flatnonzero(kept).tolist():
+        offset = float(offsets[i])
         uid = int(month_log.user_ids[i])
-        if uid not in scripts:
-            continue
-        offset = (float(month_log.timestamps[i]) - t0) / config.rate_multiplier
-        if offset >= config.duration_s:
-            continue
         arrivals.append((offset, scripts[uid].take(offset)))
     arrivals.sort(key=lambda pair: pair[0])
     return Workload(arrivals=arrivals, duration_s=config.duration_s)
@@ -263,11 +264,14 @@ def _poisson_workload(
     """Nonhomogeneous Poisson arrivals over volume-weighted devices."""
     rng = np.random.default_rng(config.seed)
     scripts = _device_scripts(month_log, config.max_devices)
-    device_ids = np.array(sorted(scripts), dtype=np.int64)
-    weights = np.array(
-        [len(scripts[int(uid)].requests) for uid in device_ids], dtype=float
-    )
+    ordered = [scripts[uid] for uid in sorted(scripts)]
+    weights = np.array([len(s.rows) for s in ordered], dtype=float)
     weights /= weights.sum()
+    # numpy's ``rng.choice(a, p=weights)`` builds this cdf on every call,
+    # then draws one ``rng.random()`` and searches it (side="right");
+    # the same draw against the cdf built once picks the same device.
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
 
     # The log's natural aggregate rate, scaled by the overload knob.
     base_rate = (
@@ -297,6 +301,9 @@ def _poisson_workload(
             rate *= config.burst_multiplier
         return rate
 
+    # The thinning loop stays scalar: the ziggurat exponential consumes
+    # a variable number of random words, so batched draws would shift
+    # the stream.
     arrivals: List[Tuple[float, ServeRequest]] = []
     t = 0.0
     while True:
@@ -306,6 +313,6 @@ def _poisson_workload(
         # Thinning: accept with probability lambda(t) / lambda_max.
         if rng.random() * lam_max > intensity(t):
             continue
-        uid = int(rng.choice(device_ids, p=weights))
-        arrivals.append((t, scripts[uid].take(t)))
+        script = ordered[int(cdf.searchsorted(rng.random(), side="right"))]
+        arrivals.append((t, script.take(t)))
     return Workload(arrivals=arrivals, duration_s=config.duration_s)

@@ -89,6 +89,10 @@ class ServeResponse:
     tier: str = field(default="device", compare=False)
     #: cloudlet node consulted on the edge path (None off the edge path)
     edge_node: Optional[int] = field(default=None, compare=False)
+    #: :meth:`breakdown`, built on its first call
+    _segments: Optional[Dict[str, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     ok = True
 
@@ -138,15 +142,22 @@ class ServeResponse:
 
         Segments telescope between consecutive trace marks, so the
         values sum *exactly* to ``sojourn_s`` — the property the
-        trace-propagation tests assert to 1e-9.
+        trace-propagation tests assert to 1e-9.  A response is complete
+        when built, so the breakdown is derived once, on the first call,
+        and every later call (the telemetry record, the report, the hop
+        view) returns the same read-only dict.
         """
+        if self._segments is not None:
+            return self._segments
         if self.trace is None:
             out = {name: 0.0 for name in SEGMENT_NAMES}
             out["queue_wait"] = self.queue_wait_s
             out["service"] = self.sojourn_s - self.queue_wait_s
-            return out
-        got = self.trace.breakdown()
-        return {name: got.get(name, 0.0) for name in SEGMENT_NAMES}
+        else:
+            got = self.trace.breakdown()
+            out = {name: got.get(name, 0.0) for name in SEGMENT_NAMES}
+        object.__setattr__(self, "_segments", out)
+        return out
 
     def hop_breakdown(self) -> Dict[str, Dict[str, float]]:
         """Per-tier latency seconds and attributed joules.

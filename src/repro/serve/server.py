@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.obs.energy import EnergyBreakdown
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -102,7 +102,9 @@ class CloudletServer:
         backend_factory: ``device_id -> DeviceBackend``; called once per
             device on first contact (each phone gets its own cache).
         config: serving-layer parameters.
-        registry: metrics sink (defaults to the process registry).
+        registry: metrics sink (defaults to the process registry).  Each
+            ``serve.*`` instrument is looked up once, when first used, and
+            the server keeps the handle.
         refresh_fn: ``(device_id, backend) -> None`` applied by the
             background refresh task; required if
             ``config.refresh_interval_s`` is set.
@@ -135,6 +137,7 @@ class CloudletServer:
         self.backend_factory = backend_factory
         self.config = config
         self.registry = registry if registry is not None else get_registry()
+        self._handles: Dict[str, Any] = {}
         self.refresh_fn = refresh_fn
         self.batcher = MissBatcher()
         self.edge = edge
@@ -207,7 +210,7 @@ class CloudletServer:
         future = loop.create_future()
         now = loop.time()
         trace = TraceContext(next(self._trace_ids), now)
-        self.registry.counter("serve.requests").inc()
+        self._metric("counter", "serve.requests").inc()
         if self._inflight >= self.config.max_inflight:
             self._shed(future, request, "server-busy", now, trace)
             return future
@@ -218,8 +221,8 @@ class CloudletServer:
             self._shed(future, request, "device-queue-full", now, trace)
             return future
         self._inflight += 1
-        self.registry.counter("serve.admitted").inc()
-        self.registry.gauge("serve.inflight_peak").max(self._inflight)
+        self._metric("counter", "serve.admitted").inc()
+        self._metric("gauge", "serve.inflight_peak").max(self._inflight)
         self.telemetry.on_submit(now, self._inflight)
         self._pending.add(future)
         future.add_done_callback(self._pending.discard)
@@ -236,9 +239,9 @@ class CloudletServer:
     ) -> None:
         """Resolve ``future`` with a typed shed; ``admitted`` marks a
         request shed after admission (the edge hop)."""
-        self.registry.counter("serve.shed").inc()
-        self.registry.counter(
-            "serve.shed." + reason.replace("-", "_")
+        self._metric("counter", "serve.shed").inc()
+        self._metric(
+            "counter", "serve.shed." + reason.replace("-", "_")
         ).inc()
         trace.mark("shed", now)
         trace.annotate(shed_reason=reason)
@@ -369,20 +372,31 @@ class CloudletServer:
                 future.set_result(response)
             session.queue.task_done()
 
+    def _metric(self, kind: str, name: str):
+        """The registry's ``kind`` instrument ``name`` (``"counter"``,
+        ``"gauge"`` or ``"histogram"``).  Created in the registry on first
+        use, as a direct registry call would; the handle is kept, so the
+        request path makes no locked registry lookup."""
+        handle = self._handles.get(name)
+        if handle is None:
+            handle = getattr(self.registry, kind)(name)
+            self._handles[name] = handle
+        return handle
+
     def _record(self, response: ServeResponse) -> None:
-        reg = self.registry
-        reg.counter("serve.completed").inc()
+        metric = self._metric
+        metric("counter", "serve.completed").inc()
         if response.outcome.hit:
-            reg.counter("serve.hits").inc()
+            metric("counter", "serve.hits").inc()
         else:
-            reg.counter("serve.misses").inc()
+            metric("counter", "serve.misses").inc()
         if response.shared_fetch:
-            reg.counter("serve.shared_fetches").inc()
-        reg.counter("serve.tier." + response.tier).inc()
-        reg.histogram("serve.queue_wait_s").add(response.queue_wait_s)
-        reg.histogram("serve.sojourn_s").add(response.sojourn_s)
+            metric("counter", "serve.shared_fetches").inc()
+        metric("counter", "serve.tier." + response.tier).inc()
+        metric("histogram", "serve.queue_wait_s").add(response.queue_wait_s)
+        metric("histogram", "serve.sojourn_s").add(response.sojourn_s)
         if response.energy is not None:
-            reg.histogram("serve.energy_j").add(response.energy_j)
+            metric("histogram", "serve.energy_j").add(response.energy_j)
 
     # -- background refresh -------------------------------------------------
 
@@ -397,7 +411,7 @@ class CloudletServer:
                 for device_id, session in list(self._sessions.items()):
                     async with session.lock:
                         self.refresh_fn(device_id, session.backend)
-                    self.registry.counter("serve.refreshes").inc()
+                    self._metric("counter", "serve.refreshes").inc()
                     # Yield so queued requests of other devices proceed
                     # between per-device refreshes.
                     await asyncio.sleep(0)

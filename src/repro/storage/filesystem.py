@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.storage.device import AccessResult
+from repro.storage.device import AccessResult, shallow_copy
 from repro.storage.flash import NandFlash
 
 
@@ -66,6 +66,16 @@ class FlashFilesystem:
         self.open_energy_j = open_energy_j
         self._files: Dict[str, _FileEntry] = {}
         self._pages_used = 0
+
+    def copy(self) -> "FlashFilesystem":
+        """An independent filesystem on a copy of its flash device."""
+        clone = shallow_copy(self)
+        clone.flash = self.flash.copy()
+        clone._files = {
+            name: _FileEntry(e.name, e.size_bytes, e.pages_allocated)
+            for name, e in self._files.items()
+        }
+        return clone
 
     # -- namespace ---------------------------------------------------------
 

@@ -14,10 +14,10 @@ paper's experiments depend on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.obs.trace import get_tracer
-from repro.storage.device import AccessResult, MemoryDevice
+from repro.storage.device import AccessResult, MemoryDevice, shallow_copy
 
 KB = 1024
 MB = 1024**2
@@ -112,6 +112,12 @@ class NandFlash(MemoryDevice):
         self.program_page_energy_j = program_page_energy_j
         self.erase_block_energy_j = erase_block_energy_j
         self.stats = FlashStats()
+
+    def copy(self) -> "NandFlash":
+        """An independent device with the same cumulative counters."""
+        clone = shallow_copy(self)
+        clone.stats = replace(self.stats)
+        return clone
 
     def read_pages(self, npages: int) -> AccessResult:
         """Read ``npages`` whole pages (command + transfer cost)."""

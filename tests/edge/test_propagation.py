@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.edge.node import EdgeNode
 from repro.edge.propagation import DELTA_BYTES, OriginCoordinator
 from repro.edge.tier import EdgeTier, EdgeTopology
 from repro.pocketsearch.content import DEFAULT_RECORD_BYTES

@@ -160,6 +160,119 @@ class TestFetchProtocol:
         assert tier.device_region(42) == tier.device_region(42)
 
 
+def fresh_stats(tier):
+    """The tier's snapshot built from scratch out of its nodes, batchers
+    and origin."""
+    return {
+        "n_nodes": tier.topology.n_nodes,
+        "routing": tier.topology.routing,
+        "community_hits": tier.community_hits,
+        "community_misses": tier.community_misses,
+        "community_hit_rate": tier.community_hit_rate,
+        "origin_fetches": tier.origin_fetches,
+        "origin_piggybacked": tier.origin_piggybacked,
+        "sheds": tier.sheds,
+        "origin": tier.origin.stats(),
+        "nodes": [tier.nodes[i].stats() for i in sorted(tier.nodes)],
+    }
+
+
+class TestStatsSnapshot:
+    """``stats()`` is rebuilt only when a fetch, shed or flush moved a
+    counter, and is then equal to a snapshot built from scratch."""
+
+    #: (start delay, key, device): a burst that sheds on the one-fetch
+    #: bound, spaced fetches with idle gaps between them, repeats that
+    #: hit the slice, and enough time for propagation flushes.
+    FETCHES = [
+        (0.0, "warm", 0), (0.0, "a", 1), (0.01, "b", 2), (0.3, "a", 3),
+        (2.0, "c", 0), (2.0, "warm", 1), (4.0, "a", 2), (6.5, "b", 3),
+        (6.5, "d", 0), (9.0, "c", 1), (12.0, "e", 2), (15.0, "a", 3),
+    ]
+
+    def _run(self):
+        topology = EdgeTopology(
+            n_nodes=2, node_capacity=3, node_max_inflight=1,
+            propagation_interval_s=1.0,
+        )
+        checks = {"fetch": [], "shed": [], "flush": [], "probe": [],
+                  "idle": []}
+
+        async def scenario():
+            tier = EdgeTier(topology)
+            tier.seed_from_scores([("warm", 1.0)])
+            state = {"inflight": 0, "events": 0, "done": False}
+
+            def on_flush(t, node_id, n_deltas):
+                state["events"] += 1
+                checks["flush"].append(tier.stats() == fresh_stats(tier))
+
+            tier.on_flush = on_flush
+
+            async def fetch(delay, key, device):
+                await asyncio.sleep(delay)
+                state["inflight"] += 1
+                state["events"] += 1
+                result = await tier.fetch(key, device, radio_s=0.5, scale=1.0)
+                state["inflight"] -= 1
+                state["events"] += 1
+                kind = "shed" if result.shed else "fetch"
+                checks[kind].append(tier.stats() == fresh_stats(tier))
+
+            async def probe():
+                last, last_events = None, None
+                while not state["done"]:
+                    snapshot = tier.stats()
+                    checks["probe"].append(snapshot == fresh_stats(tier))
+                    if state["inflight"] == 0 and state["events"] == last_events:
+                        # Nothing ran since the last probe: no rebuild.
+                        checks["idle"].append(snapshot is last)
+                    last, last_events = snapshot, state["events"]
+                    await asyncio.sleep(0.05)
+
+            prober = asyncio.ensure_future(probe())
+            await asyncio.gather(*(fetch(*f) for f in self.FETCHES))
+            state["done"] = True
+            await prober
+            tier.flush_all()
+            return tier
+
+        tier = run_simulated(scenario())
+        return tier, checks
+
+    def test_equals_a_fresh_snapshot_after_every_event(self):
+        tier, checks = self._run()
+        assert checks["fetch"] and all(checks["fetch"])
+        assert checks["shed"] and all(checks["shed"])
+        assert checks["flush"] and all(checks["flush"])
+        assert checks["probe"] and all(checks["probe"])
+        assert tier.stats() == fresh_stats(tier)
+        # The scenario sheds, hits the slice, fetches from the origin
+        # and flushes.
+        assert tier.sheds > 0 and tier.community_hits > 0
+        assert tier.origin_fetches > 0 and tier.origin.flushes > 0
+
+    def test_not_rebuilt_between_events(self):
+        tier, checks = self._run()
+        assert len(checks["idle"]) > 20
+        assert all(checks["idle"])
+        snapshot = tier.stats()
+        assert tier.stats() is snapshot
+        tier.flush_all()
+        assert tier.stats() is not snapshot
+
+    def test_seeding_and_refresh_rebuild(self):
+        tier, _ = self._run()
+        for change in (
+            lambda: tier.seed_from_scores([("f", 1.0), ("g", 2.0)]),
+            lambda: tier.refresh_from_origin(per_node=2),
+        ):
+            snapshot = tier.stats()
+            change()
+            assert tier.stats() is not snapshot
+            assert tier.stats() == fresh_stats(tier)
+
+
 class TestOfflineEvaluator:
     EVENTS = [
         (float(i), i % 3, f"k{i % 5}") for i in range(40)

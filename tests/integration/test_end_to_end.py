@@ -1,7 +1,5 @@
 """End-to-end scenario tests across the whole stack."""
 
-import pytest
-
 from repro.core.registry import CloudletRegistry
 from repro.logs.schema import MONTH_SECONDS
 from repro.pocketsearch.content import ContentPolicy, build_cache_content

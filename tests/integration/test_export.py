@@ -3,8 +3,6 @@
 import csv
 import os
 
-import pytest
-
 from repro.experiments import export
 
 

@@ -1,6 +1,5 @@
 """Tests for log analysis measurements."""
 
-import numpy as np
 import pytest
 
 from repro.logs import analysis

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.pocketsearch.content import (
-    CacheEntry,
     ContentPolicy,
     build_cache_content,
     build_cache_content_from_model,

@@ -1,8 +1,6 @@
 """Tests for the PocketWeb service path and maintenance."""
 
-import pytest
-
-from repro.core.management import ChargeState, UpdateScheduler
+from repro.core.management import ChargeState
 from repro.pocketweb.cloudlet import PocketWebCloudlet
 from repro.pocketweb.pages import PageModel
 

@@ -6,7 +6,6 @@ from repro.pocketmaps.grid import TileId
 from repro.pocketyellow.directory import (
     BUSINESS_TILE_BYTES,
     CATEGORIES,
-    US_BUSINESS_COUNT,
     BusinessDirectory,
     national_directory_bytes,
 )

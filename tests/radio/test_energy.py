@@ -10,7 +10,7 @@ from repro.radio.energy import (
     segments_energy,
     timeline_by_state,
 )
-from repro.radio.models import EDGE, THREE_G, WIFI_80211G
+from repro.radio.models import THREE_G
 from repro.radio.states import PowerSegment, RadioLink, RadioState
 
 KB = 1024
