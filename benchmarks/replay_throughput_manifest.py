@@ -10,8 +10,10 @@ side calls the per-event ``replay_user`` directly, the path
 ``replay_one_user`` takes only while the tracer records; the tracer
 stays off here, so no span cost lands on the scalar number.
 
-The headline metric is ``speedup_x`` = vectorized events/sec over
-scalar events/sec.  At paper scale (10k-user population, ~1.5M-event
+Both sides keep every per-query outcome, and ``identical`` holds only
+when each user's outcome stream is equal on both sides; a divergence
+fails the run.  The headline metric is ``speedup_x`` = vectorized
+events/sec over scalar events/sec.  At paper scale (10k-user population, ~1.5M-event
 months) the run refuses to write a passing manifest below the 10x
 floor the vectorized engine exists to clear::
 
@@ -35,12 +37,10 @@ from repro.logs.schema import MONTH_SECONDS
 from repro.obs.manifest import ManifestRecorder
 from repro.pocketsearch.content import build_cache_content
 from repro.pocketsearch.engine import PocketSearchEngine
-from repro.sim.metrics import MetricsCollector
 from repro.sim.replay import (
     CacheMode,
     ReplayConfig,
     UserReplayResult,
-    derive_user_seed,
     make_cache,
     replay_one_user,
     replay_user,
@@ -50,13 +50,10 @@ from repro.sim.vectorized import clear_caches
 
 
 def _scalar_user(log, content, config, user_class, user_id, t_start, t_end):
-    """One user through the per-event path, with ``replay_one_user``'s
-    fresh phone and bounded collector."""
+    """One user through the per-event path, on ``replay_one_user``'s
+    fresh phone."""
     engine = PocketSearchEngine(make_cache(content, CacheMode.FULL))
-    metrics = MetricsCollector(
-        bounded=True, reservoir_seed=derive_user_seed(config.seed, user_id)
-    )
-    replay_user(engine, log, user_id, t_start, t_end, metrics)
+    metrics = replay_user(engine, log, user_id, t_start, t_end)
     return UserReplayResult(
         user_id=user_id, user_class=user_class, metrics=metrics
     )
@@ -101,9 +98,7 @@ def run(
         if scale == "paper"
         else default_log(seed=seed)
     )
-    config = ReplayConfig(
-        users_per_class=users_per_class, seed=seed, bounded_metrics=True
-    )
+    config = ReplayConfig(users_per_class=users_per_class, seed=seed)
     content = build_cache_content(
         log.month(config.build_month), config.policy
     )
@@ -119,7 +114,6 @@ def run(
             "scale": scale,
             "users_per_class": users_per_class,
             "mode": CacheMode.FULL,
-            "bounded_metrics": True,
         },
         seed=seed,
     )
@@ -134,9 +128,7 @@ def run(
         identical = all(
             a.user_id == b.user_id
             and a.user_class == b.user_class
-            and a.metrics.count == b.metrics.count
-            and a.metrics.hits == b.metrics.hits
-            and a.metrics.hit_rate == b.metrics.hit_rate
+            and a.metrics.outcomes == b.metrics.outcomes
             for a, b in zip(results["scalar"], results["vectorized"])
         )
         n_events = sum(u.metrics.count for u in results["scalar"])

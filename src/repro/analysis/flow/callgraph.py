@@ -179,12 +179,6 @@ class Program:
         fn = self.symbols.functions.get(qual)
         return fn.module if fn is not None else None
 
-    def file_of_function(self, qual: str) -> Optional[str]:
-        fn = self.symbols.functions.get(qual)
-        if fn is None:
-            return None
-        return self.symbols.modules.get(fn.module)
-
 
 def build_program(summaries: Iterable[FileSummary]) -> Program:
     """Link summaries into a :class:`Program` (symbols + call graph)."""

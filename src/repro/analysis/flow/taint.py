@@ -157,16 +157,6 @@ def transitive_self_writes(program: Program) -> Dict[str, Set[str]]:
     return writes
 
 
-def reachable_self_writes(
-    program: Program,
-    writes: Dict[str, Set[str]],
-    qual: str,
-) -> Set[str]:
-    """Attrs a specific awaited method may write (itself or via
-    same-class callees) — convenience wrapper with a safe default."""
-    return writes.get(qual, set())
-
-
 def module_package(module: str) -> Optional[str]:
     """``repro.sim.replay`` -> ``sim``; top-level ``repro.cli`` ->
     ``cli``; non-repro modules -> ``None``."""

@@ -70,9 +70,7 @@ def paper_scale_replay(
 
     The 10k-user population makes this the slowest replay in the repo;
     it is the workload the batch engine and the sharded harness exist
-    for.  Uses bounded-memory collectors (thousands of month-long users
-    would otherwise retain every outcome) — results are bit-identical
-    for any ``workers`` value.
+    for.  Results are bit-identical for any ``workers`` value.
     """
     log = paper_scale_log(months=months, seed=seed)
     replay = run_replay(
@@ -81,7 +79,6 @@ def paper_scale_replay(
             users_per_class=users_per_class,
             seed=seed,
             workers=workers,
-            bounded_metrics=True,
         ),
         modes=modes,
     )

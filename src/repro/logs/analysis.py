@@ -69,11 +69,6 @@ def result_volume_cdf(log: SearchLog) -> VolumeCdf:
     return _cdf_from_keys(log.result_keys)
 
 
-def pair_volume_cdf(log: SearchLog) -> VolumeCdf:
-    """Figure 7's x-axis: cumulative volume vs query-result pairs."""
-    return _cdf_from_keys(log.pair_ids)
-
-
 def figure4_series(log: SearchLog) -> Dict[str, Dict[str, VolumeCdf]]:
     """All Figure 4 curves: overall / nav / non-nav / device subsets."""
     subsets = {

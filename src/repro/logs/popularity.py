@@ -84,10 +84,6 @@ class CommunityModel:
     def n_results(self) -> int:
         return len(self.result_urls)
 
-    def pair_navigational(self) -> np.ndarray:
-        """Navigational flag per pair id (the flag of the pair's query)."""
-        return self.query_navigational[self.pair_query]
-
     # -- sampling ---------------------------------------------------------------
 
     def sample_pairs(

@@ -8,9 +8,9 @@ replay hot paths pay nothing unless a caller opts in:
   no-op singleton until :func:`repro.obs.trace.enable` installs a real
   recorder.
 * :mod:`repro.obs.registry` — named counters, gauges, and
-  bounded-memory streaming histograms (reservoir sampling), so
-  million-query replays can compute percentiles without retaining every
-  outcome object, plus the one nearest-rank percentile rule.
+  bounded-memory streaming histograms (reservoir sampling), so the
+  serve plane can report percentiles without retaining every request,
+  plus the one nearest-rank percentile rule.
 * :mod:`repro.obs.manifest` — machine-readable run manifests (seed,
   config, git SHA, wall time, peak RSS) for experiments and benchmarks.
 

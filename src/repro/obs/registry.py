@@ -1,7 +1,7 @@
 """Named counters, gauges, and bounded-memory streaming histograms.
 
-The registry gives experiment and replay code a place to accumulate
-aggregates without retaining per-event objects:
+The registry gives the serve plane a place to accumulate aggregates
+without retaining per-event objects:
 
 * :class:`Counter` — monotonically increasing count.
 * :class:`Gauge` — last-set value.
@@ -13,8 +13,8 @@ aggregates without retaining per-event objects:
 * :func:`nearest_rank` — the nearest-rank percentile rule shared by
   every exact and windowed percentile.
 
-All structures are deterministic: the reservoir uses a seeded PRNG so a
-replay produces identical percentile estimates run to run.
+All structures are deterministic: the reservoir's PRNG has a fixed
+seed, so the same stream gives the same percentile estimates every run.
 
 Instruments and the registry are safe for concurrent use from threads
 and asyncio tasks: get-or-create is serialized by a registry lock, and
@@ -58,14 +58,6 @@ class Counter:
         with self._lock:
             self.value += n
 
-    def __getstate__(self):
-        return {"name": self.name, "value": self.value}
-
-    def __setstate__(self, state) -> None:
-        self.name = state["name"]
-        self.value = state["value"]
-        self._lock = threading.Lock()
-
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "counter", "value": self.value}
 
@@ -92,14 +84,6 @@ class Gauge:
             if value > self.value:
                 self.value = value
 
-    def __getstate__(self):
-        return {"name": self.name, "value": self.value}
-
-    def __setstate__(self, state) -> None:
-        self.name = state["name"]
-        self.value = state["value"]
-        self._lock = threading.Lock()
-
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "gauge", "value": self.value}
 
@@ -109,6 +93,10 @@ def nearest_rank(ordered: Sequence[float], q: float) -> float:
     sequence — the one percentile rule every report in this repo uses.
     Callers choose their own empty-input value."""
     return ordered[max(0, math.ceil(q / 100 * len(ordered)) - 1)]
+
+
+#: Seed of every reservoir's PRNG, fixed so estimates are reproducible.
+_RESERVOIR_SEED = 0x5EED
 
 
 class StreamingHistogram:
@@ -121,16 +109,15 @@ class StreamingHistogram:
 
     Args:
         reservoir_size: retained sample count (memory bound).
-        seed: PRNG seed; fixed by default so estimates are reproducible.
     """
 
-    def __init__(self, reservoir_size: int = 1024, seed: int = 0x5EED) -> None:
+    def __init__(self, reservoir_size: int = 1024) -> None:
         if reservoir_size <= 0:
             raise ValueError(
                 f"reservoir_size must be positive, got {reservoir_size}"
             )
         self.reservoir_size = reservoir_size
-        self._rng = random.Random(seed)
+        self._rng = random.Random(_RESERVOIR_SEED)
         self._sample: List[float] = []
         self.count = 0
         self.total = 0.0
@@ -192,76 +179,6 @@ class StreamingHistogram:
                 return self.max
             ordered = sorted(self._sample)
         return nearest_rank(ordered, q)
-
-    def merge(self, other: "StreamingHistogram") -> None:
-        """Fold ``other`` into this histogram.
-
-        Exact for count/sum/min/max; the merged reservoir is a
-        count-weighted subsample of both reservoirs (an approximation —
-        documented, deterministic).
-        """
-        # Lock both sides in a stable order so concurrent cross-merges
-        # (A.merge(B) while B.merge(A)) cannot deadlock.
-        first, second = sorted((self, other), key=id)
-        with first._lock, second._lock:
-            self._merge_locked(other)
-
-    def _merge_locked(self, other: "StreamingHistogram") -> None:
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.total = other.total
-            self.min = other.min
-            self.max = other.max
-            self._sample = list(other._sample)
-            return
-        total = self.count + other.count
-        avail_self, avail_other = len(self._sample), len(other._sample)
-        if avail_self + avail_other <= self.reservoir_size:
-            # Everything fits: keep every retained sample, no subsampling.
-            merged = self._sample + list(other._sample)
-        else:
-            # Count-weighted split of the reservoir.  Clamp both shares
-            # to [1, size-1]: plain round() starves the lighter side to
-            # zero under extreme count skew, silently discarding a
-            # non-empty reservoir.  Quota a side cannot fill (its
-            # reservoir is smaller than its share) is reallocated to
-            # the other side so the merged reservoir stays full
-            # whenever enough samples exist.
-            size = self.reservoir_size
-            take_self = min(
-                max(round(size * self.count / total), 1), size - 1
-            )
-            take_other = size - take_self
-            spill_self = max(0, take_self - avail_self)
-            spill_other = max(0, take_other - avail_other)
-            take_self = min(take_self + spill_other, avail_self)
-            take_other = min(take_other + spill_self, avail_other)
-            merged = self._subsample(
-                self._sample, take_self
-            ) + self._subsample(other._sample, take_other)
-        self.count = total
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self._sample = merged
-
-    def _subsample(self, sample: List[float], k: int) -> List[float]:
-        if k <= 0:
-            return []
-        if len(sample) <= k:
-            return list(sample)
-        return self._rng.sample(sample, k)
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
 
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
@@ -333,15 +250,6 @@ class MetricsRegistry:
     def clear(self) -> None:
         with self._lock:
             self._instruments.clear()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
 
 _registry = MetricsRegistry()

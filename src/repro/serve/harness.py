@@ -47,7 +47,6 @@ from repro.sim.replay import (
     ReplayResult,
     UserReplayResult,
     _daily_contents,
-    _new_collector,
     make_cache,
     select_replay_users,
 )
@@ -514,15 +513,14 @@ async def _serve_mode(
         await server.close()
 
     # Fold replies back into per-user collectors in submission order, so
-    # exact collectors hold identical outcome sequences to the offline
-    # replay and bounded collectors fold reservoir samples identically.
+    # they hold outcome sequences identical to the offline replay's.
     by_user: Dict[int, List[ServeResponse]] = {uid: [] for _, uid in work}
     for reply in replies:
         if isinstance(reply, ServeResponse):
             by_user[reply.request.device_id].append(reply)
     users: List[UserReplayResult] = []
     for user_class, uid in order:
-        collector: MetricsCollector = _new_collector(config, uid)
+        collector = MetricsCollector()
         for response in by_user[uid]:
             collector.record(response.outcome)
         users.append(

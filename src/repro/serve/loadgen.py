@@ -139,27 +139,6 @@ class Workload:
         """Scheduled requests per loop-clock second."""
         return self.n_requests / self.duration_s if self.duration_s else 0.0
 
-    def rate_timeline(
-        self, bucket_width_s: float = 1.0
-    ) -> List[Tuple[float, float]]:
-        """Offered rate per fixed-width bucket: ``(bucket_start_s,
-        requests_per_s)`` rows, oldest first.
-
-        The schedule-side twin of the telemetry plane's per-bucket
-        completion counts — diffing the two shows where the server fell
-        behind the offered load.
-        """
-        if bucket_width_s <= 0:
-            raise ValueError("bucket_width_s must be positive")
-        counts: Dict[int, int] = {}
-        for offset, _ in self.arrivals:
-            idx = int(offset // bucket_width_s)
-            counts[idx] = counts.get(idx, 0) + 1
-        return [
-            (idx * bucket_width_s, counts[idx] / bucket_width_s)
-            for idx in sorted(counts)
-        ]
-
 
 class _DeviceScript:
     """One device's logged query sequence, replayed in order, cycling.

@@ -110,21 +110,9 @@ class ServeResponse:
         return self.trace.trace_id if self.trace is not None else None
 
     @property
-    def refresh_blocked_s(self) -> float:
-        """Dequeue-to-service time lost waiting out a session refresh."""
-        return self.trace.segment_s("refresh_blocked") if self.trace else 0.0
-
-    @property
     def batch_wait_s(self) -> float:
         """Time spent inside the shared single-flight radio fetch."""
         return self.trace.segment_s("batch_wait") if self.trace else 0.0
-
-    @property
-    def service_s(self) -> float:
-        """Modelled device-side service time outside the shared fetch."""
-        if self.trace is not None:
-            return self.trace.segment_s("service")
-        return self.sojourn_s - self.queue_wait_s
 
     @property
     def energy_j(self) -> float:

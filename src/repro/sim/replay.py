@@ -80,18 +80,10 @@ class ReplayConfig:
     policy: ContentPolicy = PAPER_OPERATING_POINT
     seed: int = 97
     daily_updates: bool = False
-    #: Use bounded-memory streaming collectors instead of retaining every
-    #: QueryOutcome (see :class:`repro.sim.metrics.MetricsCollector`).
-    bounded_metrics: bool = False
     #: Worker processes for the replay fan-out.  1 (the default) keeps
     #: the exact in-process serial path; N > 1 dispatches user shards to
     #: a multiprocessing pool.  Results are bit-identical either way.
     workers: int = 1
-    #: Users per shard when ``workers > 1``.  ``None`` auto-sizes to
-    #: roughly four shards per worker (load balancing without excessive
-    #: per-shard dispatch overhead).  Affects scheduling only, never
-    #: results.
-    shard_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.users_per_class <= 0:
@@ -100,8 +92,6 @@ class ReplayConfig:
             raise ValueError("build and replay months must differ")
         if self.workers <= 0:
             raise ValueError("workers must be positive")
-        if self.shard_size is not None and self.shard_size <= 0:
-            raise ValueError("shard_size must be positive when given")
 
 
 @dataclass
@@ -160,10 +150,9 @@ class ReplayResult:
 
     def navigational_breakdown(self) -> Dict[UserClass, Dict[str, float]]:
         """Figure 19: cache-hit split into nav / non-nav per class."""
-        bounded = any(u.metrics.bounded for u in self.users)
         out: Dict[UserClass, Dict[str, float]] = {}
         for user_class in UserClass:
-            merged = MetricsCollector(bounded=bounded)
+            merged = MetricsCollector()
             for user in self.users:
                 if user.user_class is user_class:
                     merged.merge(user.metrics)
@@ -171,22 +160,9 @@ class ReplayResult:
         return out
 
 
-# Spawn-key domains partitioning the per-user seed space: the selection
-# lottery and the replay itself must draw from unrelated streams.
+# Spawn-key domain of the selection lottery (the columnar shard
+# assignment uses 2).  Renumbering it would change every user selection.
 _SELECTION_DOMAIN = 0
-_REPLAY_DOMAIN = 1
-
-
-def derive_user_seed(seed: int, user_id: int) -> int:
-    """Deterministic per-user replay seed, keyed by (seed, user id).
-
-    Derived through ``np.random.SeedSequence`` spawn keys rather than a
-    shared stream, so a user's seed never depends on how many draws other
-    users consumed — the property that makes sharded replays bit-identical
-    to serial ones regardless of scheduling order.
-    """
-    seq = np.random.SeedSequence(seed, spawn_key=(_REPLAY_DOMAIN, user_id))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
 def _selection_priority(seed: int, user_id: int) -> int:
@@ -384,8 +360,8 @@ def replay_one_user(
     """Replay a single user on a fresh phone (shared by serial/sharded paths).
 
     Everything a user's outcome depends on — the cache content, the log
-    window, and the per-user seed — is passed in explicitly, so the
-    result is identical whether this runs inline or in a worker process.
+    window, and the config — is passed in explicitly, so the result is
+    identical whether this runs inline or in a worker process.
 
     The batch engine (:func:`~repro.sim.vectorized.replay_user_vectorized`)
     serves the user unless the tracer is recording.  Then the per-event
@@ -397,7 +373,7 @@ def replay_one_user(
         if config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY
         else None
     )
-    metrics = _new_collector(config, user_id)
+    metrics = MetricsCollector()
     if get_tracer().enabled:
         engine = PocketSearchEngine(make_cache(content, mode))
         replay_user(engine, log, user_id, t_start, t_end, metrics, daily)
@@ -408,19 +384,6 @@ def replay_one_user(
         )
     return UserReplayResult(
         user_id=user_id, user_class=user_class, metrics=metrics
-    )
-
-
-def _new_collector(config: ReplayConfig, user_id: int) -> MetricsCollector:
-    """A per-user collector honouring the config's memory mode.
-
-    Bounded collectors get a reservoir seed derived from the user id so
-    percentile estimates are reproducible across serial and sharded runs.
-    """
-    if not config.bounded_metrics:
-        return MetricsCollector()
-    return MetricsCollector(
-        bounded=True, reservoir_seed=derive_user_seed(config.seed, user_id)
     )
 
 

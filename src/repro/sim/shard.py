@@ -5,11 +5,11 @@ of one cache mode into contiguous shards and replays them on a
 ``multiprocessing`` pool.  Design constraints:
 
 * **Bit-identical results.**  Workers run the exact same per-user
-  function as the serial path (:func:`repro.sim.replay.replay_one_user`)
-  with per-user seeds derived from the user id, and the parent
-  reassembles shard outputs in shard order (``Pool.map`` preserves task
-  order), so the merged user list is byte-for-byte the serial list no
-  matter how the OS schedules workers.
+  function as the serial path (:func:`repro.sim.replay.replay_one_user`),
+  whose result depends only on its inputs, and the parent reassembles
+  shard outputs in shard order (``Pool.map`` preserves task order), so
+  the merged user list is byte-for-byte the serial list no matter how
+  the OS schedules workers.
 * **One payload per worker, not per shard.**  The log, cache content,
   and pre-mined daily contents are pickled once into each worker via the
   pool initializer; shard tasks carry only index lists.
@@ -49,12 +49,9 @@ def partition_shards(
     return [work[i: i + shard_size] for i in range(0, len(work), shard_size)]
 
 
-def resolve_shard_size(
-    n_work: int, workers: int, shard_size: Optional[int]
-) -> int:
-    """The configured shard size, or the load-balancing default."""
-    if shard_size is not None:
-        return shard_size
+def resolve_shard_size(n_work: int, workers: int) -> int:
+    """Users per shard: about :data:`SHARDS_PER_WORKER` shards per
+    worker.  Affects scheduling only, never results."""
     return max(1, math.ceil(n_work / (workers * SHARDS_PER_WORKER)))
 
 
@@ -127,7 +124,7 @@ def run_sharded_mode(
     for the mode span and run manifests.
     """
     tracer = get_tracer()
-    shard_size = resolve_shard_size(len(work), config.workers, config.shard_size)
+    shard_size = resolve_shard_size(len(work), config.workers)
     shards = partition_shards(work, shard_size)
     tasks = [(i, mode, shard) for i, shard in enumerate(shards)]
     n_procs = min(config.workers, len(shards))

@@ -21,7 +21,7 @@ Bit-identity, not approximation:
 * ranking-score evolution (Equations 1-2) is replayed per (user, query)
   group with the same ``math.exp`` decay and stable top-2 sort;
 * outcomes are fed to the same :class:`MetricsCollector` in stream
-  order, so bounded-mode reservoirs draw the identical RNG sequence.
+  order, so the two paths' outcome lists are equal element by element.
 
 Every user's cache is a copy-on-write overlay over a shared, read-only
 base: only the queries the user's clicks touch are copied.  Without

@@ -3,9 +3,9 @@
 The contract under test is *bit-identity*, not statistical closeness:
 ``run_replay(workers=N)`` must produce exactly the serial result — same
 users in the same order, same per-query outcomes, same aggregate
-reports — for every cache mode, with and without daily updates and
-bounded metrics, and for any shard size.  Comparisons therefore use
-``==`` (never ``pytest.approx``) with explicit nan handling.
+reports — for every cache mode, with and without daily updates, and
+for any shard size.  Comparisons therefore use ``==`` (never
+``pytest.approx``) with explicit nan handling.
 """
 
 import math
@@ -13,6 +13,7 @@ import math
 import pytest
 
 from repro.logs.schema import MONTH_SECONDS, UserClass
+from repro.sim import shard
 from repro.sim.replay import CacheMode, ReplayConfig, run_replay
 
 USERS_PER_CLASS = 3
@@ -44,7 +45,6 @@ def assert_replay_identical(serial, parallel):
         ctx = f"user {us.user_id}"
         assert us.user_id == up.user_id, ctx
         assert us.user_class is up.user_class, ctx
-        assert us.metrics.bounded == up.metrics.bounded, ctx
         assert us.metrics.count == up.metrics.count, ctx
         assert us.metrics.hits == up.metrics.hits, ctx
         _identical_scalar(us.metrics.hit_rate, up.metrics.hit_rate, ctx)
@@ -54,10 +54,9 @@ def assert_replay_identical(serial, parallel):
         _identical_scalar(
             us.metrics.total_energy_j, up.metrics.total_energy_j, ctx
         )
-        if not us.metrics.bounded:
-            # Exact mode retains every QueryOutcome: the full per-query
-            # record streams must be equal, not just their aggregates.
-            assert us.metrics.outcomes == up.metrics.outcomes, ctx
+        # Collectors retain every QueryOutcome: the full per-query
+        # record streams must be equal, not just their aggregates.
+        assert us.metrics.outcomes == up.metrics.outcomes, ctx
         for q in (0, 50, 95, 100):
             _identical_scalar(
                 us.metrics.latency_percentile(q),
@@ -106,16 +105,6 @@ def serial_daily(request):
     )
 
 
-@pytest.fixture(scope="module")
-def serial_bounded(request):
-    small_log = request.getfixturevalue("small_log")
-    return run_replay(
-        small_log,
-        ReplayConfig(users_per_class=USERS_PER_CLASS, bounded_metrics=True),
-        modes=CacheMode.ALL,
-    )
-
-
 class TestParallelEqualsSerial:
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize("mode", CacheMode.ALL)
@@ -140,31 +129,18 @@ class TestParallelEqualsSerial:
         )
         assert_replay_identical(serial_daily[mode], parallel[mode])
 
-    @pytest.mark.parametrize("mode", CacheMode.ALL)
-    def test_bounded_metrics(self, small_log, serial_bounded, mode):
-        parallel = run_replay(
-            small_log,
-            ReplayConfig(
-                users_per_class=USERS_PER_CLASS,
-                bounded_metrics=True,
-                workers=2,
-            ),
-            modes=[mode],
-        )
-        assert_replay_identical(serial_bounded[mode], parallel[mode])
-        for user in parallel[mode].users:
-            assert user.metrics.bounded
-            assert user.metrics.outcomes == []
-
-
 class TestSchedulingInvariance:
-    def test_shard_size_never_changes_results(self, small_log, serial_replay):
-        """shard_size=1 (max dispatch interleaving) == auto-sized shards."""
+    def test_shard_size_never_changes_results(
+        self, small_log, serial_replay, monkeypatch
+    ):
+        """One-user shards (max dispatch interleaving) == serial."""
+        # Shards are sized in the parent, so the patch takes effect.
+        monkeypatch.setattr(shard, "SHARDS_PER_WORKER", 1000)
+        n_users = len(serial_replay[CacheMode.FULL].users)
+        assert shard.resolve_shard_size(n_users, 2) == 1
         fine = run_replay(
             small_log,
-            ReplayConfig(
-                users_per_class=USERS_PER_CLASS, workers=2, shard_size=1
-            ),
+            ReplayConfig(users_per_class=USERS_PER_CLASS, workers=2),
             modes=[CacheMode.FULL],
         )
         assert_replay_identical(
@@ -200,7 +176,3 @@ class TestConfigValidation:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
             ReplayConfig(workers=0)
-
-    def test_shard_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ReplayConfig(shard_size=0)

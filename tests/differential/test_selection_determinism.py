@@ -11,10 +11,7 @@ property so a future refactor cannot quietly reintroduce the coupling.
 import numpy as np
 
 from repro.logs.schema import UserClass, classify_user
-from repro.sim.replay import (
-    derive_user_seed,
-    select_replay_users,
-)
+from repro.sim.replay import select_replay_users
 
 
 def _drop_class(log, month, drop: UserClass):
@@ -59,22 +56,3 @@ class TestSelectionKeyedByUserId:
         for uids in selected.values():
             assert uids == sorted(uids)
             assert len(uids) <= 3
-
-
-class TestPerUserSeedDerivation:
-    def test_keyed_by_user_id(self):
-        assert derive_user_seed(23, 5) != derive_user_seed(23, 6)
-        assert derive_user_seed(23, 5) != derive_user_seed(24, 5)
-        assert derive_user_seed(23, 5) == derive_user_seed(23, 5)
-
-    def test_independent_of_call_order(self):
-        forward = [derive_user_seed(23, uid) for uid in range(10)]
-        backward = [derive_user_seed(23, uid) for uid in reversed(range(10))]
-        assert forward == list(reversed(backward))
-
-    def test_distinct_from_selection_stream(self):
-        from repro.sim.replay import _selection_priority
-
-        # Same (seed, uid) must not yield the same value in both domains,
-        # or selection and replay randomness would be correlated.
-        assert derive_user_seed(23, 5) != _selection_priority(23, 5)

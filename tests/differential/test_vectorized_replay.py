@@ -2,10 +2,9 @@
 
 The batch engine (:mod:`repro.sim.vectorized`), which serves every
 untraced replay, must be *bit-identical* to the scalar per-event path
-that serves traced ones — same per-query outcomes, same bounded
-reservoirs, same aggregate reports — across every cache mode, with and
-without daily updates, with exact and bounded metrics, serial and
-sharded.  The scalar reference runs under a recording tracer
+that serves traced ones — same per-query outcomes, same aggregate
+reports — across every cache mode, with and without daily updates,
+serial and sharded.  The scalar reference runs under a recording tracer
 (:func:`tests.differential.per_event.per_event_replay`), which is what
 selects the per-event path.  Together with ``test_parallel_replay``
 (serial ≡ parallel) this closes the full serial ≡ parallel ≡ vectorized
@@ -51,13 +50,6 @@ def scalar_daily(request):
     return _scalar(request.getfixturevalue("small_log"), daily_updates=True)
 
 
-@pytest.fixture(scope="module")
-def scalar_bounded(request):
-    return _scalar(
-        request.getfixturevalue("small_log"), bounded_metrics=True
-    )
-
-
 class TestVectorizedEqualsScalar:
     """serial scalar ≡ serial vectorized, full mode matrix."""
 
@@ -65,34 +57,11 @@ class TestVectorizedEqualsScalar:
     def test_plain(self, small_log, scalar_plain, mode):
         vectorized = _run(small_log, mode)
         assert_replay_identical(scalar_plain[mode], vectorized)
-        # Exact mode retains outcomes: the per-event streams must agree
-        # record-for-record, not merely in aggregate.
-        for su, vu in zip(scalar_plain[mode].users, vectorized.users):
-            assert su.metrics.outcomes == vu.metrics.outcomes
 
     @pytest.mark.parametrize("mode", CacheMode.ALL)
     def test_daily_updates(self, small_log, scalar_daily, mode):
         vectorized = _run(small_log, mode, daily_updates=True)
         assert_replay_identical(scalar_daily[mode], vectorized)
-
-    @pytest.mark.parametrize("mode", CacheMode.ALL)
-    def test_bounded_metrics(self, small_log, scalar_bounded, mode):
-        vectorized = _run(small_log, mode, bounded_metrics=True)
-        assert_replay_identical(scalar_bounded[mode], vectorized)
-        for user in vectorized.users:
-            assert user.metrics.bounded
-            assert user.metrics.outcomes == []
-
-    @pytest.mark.parametrize("mode", CacheMode.ALL)
-    def test_daily_bounded(self, small_log, mode):
-        with per_event_replay():
-            scalar = _run(
-                small_log, mode, daily_updates=True, bounded_metrics=True
-            )
-        vectorized = _run(
-            small_log, mode, daily_updates=True, bounded_metrics=True
-        )
-        assert_replay_identical(scalar, vectorized)
 
 
 class TestVectorizedParallel:
@@ -110,10 +79,4 @@ class TestVectorizedParallel:
             small_log, CacheMode.FULL, workers=2, daily_updates=True
         )
         assert_replay_identical(scalar_daily[CacheMode.FULL], sharded)
-
-    def test_sharded_vectorized_bounded(self, small_log, scalar_bounded):
-        sharded = _run(
-            small_log, CacheMode.FULL, workers=2, bounded_metrics=True
-        )
-        assert_replay_identical(scalar_bounded[CacheMode.FULL], sharded)
 

@@ -150,59 +150,3 @@ class TestReplayUser:
             ReplayConfig(users_per_class=0)
         with pytest.raises(ValueError):
             ReplayConfig(build_month=1, replay_month=1)
-
-
-class TestBoundedReplay:
-    """Satellite check: bounded-memory replay matches the exact path."""
-
-    def test_bounded_aggregates_match_exact(self, small_log):
-        users = select_replay_users(small_log, 1, 4, seed=5)
-        exact = run_replay(
-            small_log,
-            ReplayConfig(users_per_class=4),
-            modes=[CacheMode.FULL],
-            selected_users=users,
-        )[CacheMode.FULL]
-        bounded = run_replay(
-            small_log,
-            ReplayConfig(users_per_class=4, bounded_metrics=True),
-            modes=[CacheMode.FULL],
-            selected_users=users,
-        )[CacheMode.FULL]
-        assert bounded.overall_hit_rate() == pytest.approx(
-            exact.overall_hit_rate()
-        )
-        exact_by_class = exact.hit_rate_by_class()
-        for user_class, rate in bounded.hit_rate_by_class().items():
-            expected = exact_by_class[user_class]
-            if expected == expected:  # skip empty-class nan buckets
-                assert rate == pytest.approx(expected)
-        exact_nav = exact.navigational_breakdown()
-        for user_class, split in bounded.navigational_breakdown().items():
-            assert split == pytest.approx(exact_nav[user_class])
-        for u_exact, u_bounded in zip(exact.users, bounded.users):
-            assert u_bounded.metrics.outcomes == []
-            assert u_bounded.metrics.count == u_exact.metrics.count
-            assert u_bounded.metrics.mean_latency_s == pytest.approx(
-                u_exact.metrics.mean_latency_s
-            )
-
-    def test_bounded_windowed_reporting_matches(self, small_log):
-        users = select_replay_users(small_log, 1, 4, seed=5)
-        kwargs = dict(modes=[CacheMode.FULL], selected_users=users)
-        exact = run_replay(
-            small_log, ReplayConfig(users_per_class=4), **kwargs
-        )[CacheMode.FULL]
-        bounded = run_replay(
-            small_log,
-            ReplayConfig(users_per_class=4, bounded_metrics=True),
-            **kwargs,
-        )[CacheMode.FULL]
-        t0 = MONTH_SECONDS  # day-aligned window: exact in bounded mode
-        lo, hi = t0, t0 + 7 * 24 * 3600
-        expected = exact.hit_rate_by_class_windowed(lo, hi)
-        observed = bounded.hit_rate_by_class_windowed(lo, hi)
-        for user_class in UserClass:
-            e, o = expected[user_class], observed[user_class]
-            if e == e:
-                assert o == pytest.approx(e)

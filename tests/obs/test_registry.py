@@ -87,23 +87,6 @@ class TestStreamingHistogram:
         b.extend(values)
         assert a.quantile(50) == b.quantile(50)
 
-    def test_merge(self):
-        a, b = StreamingHistogram(), StreamingHistogram()
-        a.extend([1.0, 2.0, 3.0])
-        b.extend([10.0, 20.0])
-        a.merge(b)
-        assert a.count == 5
-        assert a.quantile(0) == 1.0
-        assert a.quantile(100) == 20.0
-        assert a.mean == pytest.approx(36.0 / 5)
-
-    def test_merge_into_empty(self):
-        a, b = StreamingHistogram(), StreamingHistogram()
-        b.extend([4.0, 6.0])
-        a.merge(b)
-        assert a.count == 2
-        assert a.mean == pytest.approx(5.0)
-
 
 class TestNearestRank:
     def test_rank_is_ceiling_of_fraction(self):
@@ -130,21 +113,21 @@ def _outcome(latency):
 
 
 class TestQuantileVsExactCollector:
-    """Satellite check: streaming quantiles vs exact latency_percentile."""
+    """Streaming quantiles vs the collector's exact latency_percentile."""
 
     def test_matches_exact_collector(self):
         rng = np.random.default_rng(17)
         latencies = rng.gamma(2.0, 0.2, 10_000)
         exact = MetricsCollector()
-        bounded = MetricsCollector(bounded=True, reservoir_size=4096)
+        bounded = StreamingHistogram(reservoir_size=4096)
         for latency in latencies:
             exact.record(_outcome(float(latency)))
-            bounded.record(_outcome(float(latency)))
-        # Edge percentiles are exact in both modes.
-        assert bounded.latency_percentile(0) == exact.latency_percentile(0)
-        assert bounded.latency_percentile(100) == exact.latency_percentile(100)
+            bounded.add(float(latency))
+        # Edge percentiles are exact in both.
+        assert bounded.quantile(0) == exact.latency_percentile(0)
+        assert bounded.quantile(100) == exact.latency_percentile(100)
         for q in (25, 50, 75, 95, 99):
-            assert bounded.latency_percentile(q) == pytest.approx(
+            assert bounded.quantile(q) == pytest.approx(
                 exact.latency_percentile(q), rel=0.1
             )
 
@@ -173,49 +156,3 @@ class TestRegistry:
         assert snap["lat"]["count"] == 1
         r.clear()
         assert r.names() == []
-
-
-class TestPicklability:
-    """Instruments cross process boundaries (parallel replay returns
-    bounded MetricsCollectors, whose histograms must survive pickling
-    despite their locks)."""
-
-    def test_instruments_pickle_round_trip(self):
-        import pickle
-
-        c = Counter("n")
-        c.inc(3)
-        g = Gauge("peak")
-        g.max(7.5)
-        h = StreamingHistogram(reservoir_size=8)
-        h.extend([1.0, 2.0, 3.0])
-        for original in (c, g):
-            clone = pickle.loads(pickle.dumps(original))
-            assert clone.value == original.value
-        clone_h = pickle.loads(pickle.dumps(h))
-        assert clone_h.count == h.count
-        assert clone_h.total == h.total
-        assert clone_h.quantile(50) == h.quantile(50)
-        clone_h.add(4.0)  # the recreated lock works
-        assert clone_h.count == h.count + 1
-
-    def test_registry_pickles(self):
-        import pickle
-
-        registry = MetricsRegistry()
-        registry.counter("a").inc(2)
-        registry.histogram("b").add(1.5)
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone.counter("a").value == 2
-        assert clone.histogram("b").count == 1
-        clone.counter("a").inc()  # lock restored
-        assert clone.counter("a").value == 3
-
-    def test_bounded_collector_pickles(self):
-        import pickle
-
-        collector = MetricsCollector(bounded=True)
-        collector.record(_outcome(0.1))
-        clone = pickle.loads(pickle.dumps(collector))
-        assert clone.count == collector.count
-        assert clone.hits == collector.hits

@@ -109,111 +109,3 @@ class TestBreakdowns:
         window = m.window(1.0, 3.0)
         assert window.count == 2
         assert [o.timestamp for o in window.outcomes] == [1.0, 2.0]
-
-
-def _mixed_outcomes(n=200, bucket_s=10.0):
-    out = []
-    for i in range(n):
-        out.append(
-            outcome(
-                hit=(i % 3 != 0),
-                latency=0.01 * (i % 50) + 0.1,
-                energy=0.5 + 0.001 * i,
-                t=i * bucket_s / 4,  # four outcomes per bucket
-                nav=(i % 2 == 0) if i % 5 else None,
-            )
-        )
-    return out
-
-
-class TestBoundedMode:
-    """The streaming collector must agree with the exact one."""
-
-    def setup_method(self):
-        self.exact = MetricsCollector()
-        self.bounded = MetricsCollector(bounded=True, window_bucket_s=10.0)
-        for o in _mixed_outcomes():
-            self.exact.record(o)
-            self.bounded.record(o)
-
-    def test_counts_and_rates_match(self):
-        assert self.bounded.count == self.exact.count
-        assert self.bounded.hits == self.exact.hits
-        assert self.bounded.hit_rate == pytest.approx(self.exact.hit_rate)
-
-    def test_totals_and_means_match(self):
-        assert self.bounded.total_latency_s == pytest.approx(
-            self.exact.total_latency_s
-        )
-        assert self.bounded.total_energy_j == pytest.approx(
-            self.exact.total_energy_j
-        )
-        assert self.bounded.mean_latency_s == pytest.approx(
-            self.exact.mean_latency_s
-        )
-        assert self.bounded.mean_energy_j == pytest.approx(
-            self.exact.mean_energy_j
-        )
-
-    def test_extreme_percentiles_exact(self):
-        assert self.bounded.latency_percentile(0) == pytest.approx(
-            self.exact.latency_percentile(0)
-        )
-        assert self.bounded.latency_percentile(100) == pytest.approx(
-            self.exact.latency_percentile(100)
-        )
-
-    def test_interior_percentiles_close(self):
-        # Reservoir (1024) is larger than the stream (200): exact here.
-        for q in (25, 50, 90, 99):
-            assert self.bounded.latency_percentile(q) == pytest.approx(
-                self.exact.latency_percentile(q)
-            )
-
-    def test_navigational_breakdown_matches(self):
-        assert self.bounded.hit_breakdown_navigational() == pytest.approx(
-            self.exact.hit_breakdown_navigational()
-        )
-
-    def test_aligned_window_matches_exact(self):
-        lo, hi = 100.0, 300.0  # multiples of the 10 s bucket
-        w_exact = self.exact.window(lo, hi)
-        w_bounded = self.bounded.window(lo, hi)
-        assert w_bounded.count == w_exact.count
-        assert w_bounded.hit_rate == pytest.approx(w_exact.hit_rate)
-
-    def test_empty_bounded_stats(self):
-        m = MetricsCollector(bounded=True)
-        assert m.hit_rate == 0.0
-        assert math.isnan(m.mean_latency_s)
-        assert math.isnan(m.latency_percentile(50))
-
-    def test_bounded_memory_is_bounded(self):
-        m = MetricsCollector(bounded=True, reservoir_size=64)
-        for o in _mixed_outcomes(n=5000):
-            m.record(o)
-        assert m.outcomes == []
-        assert len(m._latency_hist._sample) == 64
-
-    def test_per_outcome_operations_raise(self):
-        with pytest.raises(RuntimeError):
-            self.bounded.hit_rate_by(lambda o: True)
-
-    def test_merge_bounded_into_bounded(self):
-        merged = MetricsCollector(bounded=True, window_bucket_s=10.0)
-        merged.merge(self.bounded)
-        other = MetricsCollector(bounded=True, window_bucket_s=10.0)
-        other.record(outcome(hit=True, latency=9.0, t=0.0))
-        merged.merge(other)
-        assert merged.count == self.bounded.count + 1
-        assert merged.latency_percentile(100) == pytest.approx(9.0)
-
-    def test_merge_exact_into_bounded(self):
-        merged = MetricsCollector(bounded=True, window_bucket_s=10.0)
-        merged.merge(self.exact)
-        assert merged.count == self.exact.count
-        assert merged.hit_rate == pytest.approx(self.exact.hit_rate)
-
-    def test_merge_bounded_into_exact_rejected(self):
-        with pytest.raises(ValueError):
-            self.exact.merge(self.bounded)
