@@ -45,8 +45,8 @@ def test_ext_suggest(benchmark, report):
     )
     body += (
         "\nFigure 1's experience: actual results appear in the"
-        "\nauto-suggest box while typing — ~94% of cached queries top the"
-        "\nbox early, saving ~44% of keystrokes."
+        "\nauto-suggest box while typing — ~96% of cached queries top the"
+        "\nbox early, saving ~47% of keystrokes."
     )
     report("ext_suggest", "Extension: auto-suggest effort savings", body)
     assert result["topped_before_full_query"] > 0.7

@@ -3,7 +3,7 @@
 Builds the replay inputs once — the log, the mined cache content, and
 the Table 6 user selection — then times two per-user loops over the
 same inputs.  The vectorized side is ``replay_one_user``, exactly the
-work ``run_replay`` fans out to workers; its process-level caches are
+work ``run_replay`` does per user; its process-level caches are
 cleared first, so its wall time includes the columnar batch build and
 universe construction (a cold start, the honest number).  The scalar
 side calls the per-event ``replay_user`` directly, the path

@@ -13,7 +13,7 @@ REP003   set-order-accumulation    float folds independent of set hash order
 REP004   async-lock-safety         no await holding a sync-acquired lock;
                                    no blocking calls in async serve code
 REP005   retain-created-tasks      asyncio tasks are owned, not fire-and-forget
-REP006   no-mutable-defaults       no hidden shared state across calls/shards
+REP006   no-mutable-defaults       no hidden shared state across calls
 REP007   no-exception-swallowing   shed/overload accounting cannot vanish
 REP008   import-layering           dependencies flow down the package DAG
 =======  ========================  ==============================================

@@ -175,10 +175,6 @@ class Program:
     graph: CallGraph
     summaries: Dict[str, FileSummary]  # path -> summary
 
-    def module_of_function(self, qual: str) -> Optional[str]:
-        fn = self.symbols.functions.get(qual)
-        return fn.module if fn is not None else None
-
 
 def build_program(summaries: Iterable[FileSummary]) -> Program:
     """Link summaries into a :class:`Program` (symbols + call graph)."""

@@ -3,8 +3,8 @@
 A ``def f(acc=[])`` default is created once at function definition and
 shared by every call — state leaks between invocations.  In this
 codebase that is doubly poisonous: a shared default accumulator in
-replay code couples users/shards through hidden state, breaking the
-serial==parallel equivalence guarantee the differential suite gates.
+replay code couples users through hidden state, so a user's result
+would depend on which users were replayed before it.
 
 Flagged default expressions: ``[]``/``{}``/``{...}`` literals,
 comprehensions, and bare ``list()``/``dict()``/``set()``/

@@ -19,7 +19,7 @@ level packages
 A module may import its own level or below; importing *upward* (the
 canonical accident: ``sim/`` reaching into ``serve/``) inverts the
 dependency direction, creates import cycles, and drags asyncio into
-the pure model layer that the multiprocessing shard workers pickle.
+the pure model layer.
 Within-level imports are allowed (``sim`` and ``pocketsearch`` are
 mutually recursive by design: the replay harness drives cloudlet
 engines, engines read the sim clock).

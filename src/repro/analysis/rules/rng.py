@@ -1,12 +1,12 @@
 """REP002: randomness must flow from explicit seeds, never global streams.
 
-PR 2's bit-identical sharded replay works because every random draw
-derives from ``np.random.SeedSequence(seed, spawn_key=...)`` or an
+Replay is a pure function of (log, seed, config) because every random
+draw derives from ``np.random.SeedSequence(seed, spawn_key=...)`` or an
 explicitly seeded ``Generator``/``Random`` that is *passed in*.  One
 call into the module-level ``random`` or legacy ``numpy.random.*``
 stream couples unrelated components through hidden global state: the
-draw order then depends on scheduling, and serial vs parallel replay
-silently diverge.
+draw order then depends on which components ran first, and a user's
+result silently changes with the rest of the run.
 
 Flagged:
 

@@ -3,14 +3,12 @@
 Float addition is not associative: ``sum`` over a ``set`` (whose
 iteration order depends on hash seeding and insertion history) can give
 different last-bit results run to run — exactly the kind of drift the
-repo's 1e-9 differential-equivalence gates (serial vs parallel replay,
+repo's 1e-9 differential-equivalence gates (per-event vs batch replay,
 serve vs replay) exist to catch.  Accumulating into a list from a set
 loop has the same hazard one step removed: the list *looks* ordered but
 its order is arbitrary.
 
-The fix is one word: ``sorted(...)`` the set before folding, as
-``repro.sim.shard`` does when merging per-user metrics in user-id
-order.
+The fix is one word: ``sorted(...)`` the set before folding.
 
 This is a heuristic (sets reached through attributes or call results
 are invisible), so its severity is *warning*: reported always, fatal

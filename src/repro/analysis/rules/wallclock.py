@@ -2,14 +2,14 @@
 
 Every replay and serve result must be a pure function of (log, seed,
 config).  A single ``time.time()`` in ``sim/`` silently turns the
-1e-9 differential-equivalence gates (serial==parallel replay,
+1e-9 differential-equivalence gates (per-event==batch replay,
 serve==replay accounting) into flaky tests.  Model code reads time
 from :class:`repro.sim.clock.SimClock` or ``loop.time()`` — the only
 modules allowed to touch the host clock are the clock abstractions
 themselves.
 
 ``time.perf_counter`` is deliberately *not* banned: it measures how
-long the host took (span timings, shard wall times in run manifests),
+long the host took (span timings, wall times in run manifests),
 never what simulated time it is, so it cannot leak into results.
 """
 

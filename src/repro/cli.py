@@ -164,27 +164,24 @@ def _print_fig12() -> None:
     )
 
 
-def _make_fig15(workers: int):
-    def run() -> None:
-        f15 = performance.figure15(workers=workers)
-        rows = []
-        for path, d in f15.items():
-            rows.append(
-                [
-                    path,
-                    f"{d['mean_latency_s']:.3f}",
-                    f"{d.get('latency_speedup', 1):.1f}x",
-                    f"{d['mean_energy_j']:.2f}",
-                    f"{d.get('energy_ratio', 1):.1f}x",
-                ]
-            )
-        print(
-            format_table(
-                rows, ["path", "latency s", "speedup", "energy J", "ratio"]
-            )
+def _print_fig15() -> None:
+    f15 = performance.figure15()
+    rows = []
+    for path, d in f15.items():
+        rows.append(
+            [
+                path,
+                f"{d['mean_latency_s']:.3f}",
+                f"{d.get('latency_speedup', 1):.1f}x",
+                f"{d['mean_energy_j']:.2f}",
+                f"{d.get('energy_ratio', 1):.1f}x",
+            ]
         )
-
-    return run
+    print(
+        format_table(
+            rows, ["path", "latency s", "speedup", "energy J", "ratio"]
+        )
+    )
 
 
 def _print_table4() -> None:
@@ -239,39 +236,30 @@ def _print_table6() -> None:
     )
 
 
-def _make_fig17(users: int, workers: int) -> Callable[[], None]:
-    def run() -> None:
-        f17 = hitrate.figure17(users_per_class=users, workers=workers)
-        rows = [
-            [mode] + [f"{d[k]:.3f}" for k in ("overall", "low", "medium", "high", "extreme")]
-            for mode, d in f17.items()
-        ]
-        print(format_table(rows, ["mode", "overall", "low", "med", "high", "extreme"]))
-
-    return run
+def _print_fig17(users: int) -> None:
+    f17 = hitrate.figure17(users_per_class=users)
+    rows = [
+        [mode] + [f"{d[k]:.3f}" for k in ("overall", "low", "medium", "high", "extreme")]
+        for mode, d in f17.items()
+    ]
+    print(format_table(rows, ["mode", "overall", "low", "med", "high", "extreme"]))
 
 
-def _make_fig18(users: int, workers: int) -> Callable[[], None]:
-    def run() -> None:
-        f18 = hitrate.figure18(users_per_class=users, workers=workers)
-        for window, modes in f18.items():
-            for mode, by_class in modes.items():
-                values = " ".join(f"{v:.3f}" for v in by_class.values())
-                print(f"{window:12} {mode:16} {values}")
-
-    return run
+def _print_fig18(users: int) -> None:
+    f18 = hitrate.figure18(users_per_class=users)
+    for window, modes in f18.items():
+        for mode, by_class in modes.items():
+            values = " ".join(f"{v:.3f}" for v in by_class.values())
+            print(f"{window:12} {mode:16} {values}")
 
 
-def _make_fig19(users: int, workers: int) -> Callable[[], None]:
-    def run() -> None:
-        f19 = hitrate.figure19(users_per_class=users, workers=workers)
-        rows = [
-            [c, f"{s['navigational']:.3f}", f"{s['non_navigational']:.3f}"]
-            for c, s in f19.items()
-        ]
-        print(format_table(rows, ["class", "nav", "non-nav"]))
-
-    return run
+def _print_fig19(users: int) -> None:
+    f19 = hitrate.figure19(users_per_class=users)
+    rows = [
+        [c, f"{s['navigational']:.3f}", f"{s['non_navigational']:.3f}"]
+        for c, s in f19.items()
+    ]
+    print(format_table(rows, ["class", "nav", "non-nav"]))
 
 
 def _print_extensions() -> None:
@@ -296,13 +284,6 @@ def build_parser(mode: Optional[str] = None) -> argparse.ArgumentParser:
         default=None,
         help="users per Table 6 class for replay artifacts (default 40; "
         "10 for daily-updates and baselines)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for replay fan-outs (default 1 = serial; "
-        "results are bit-identical for any value)",
     )
     parser.add_argument(
         "--manifest-out",
@@ -399,25 +380,20 @@ def main(argv=None) -> int:
         "fig8": _print_fig8,
         "fig11": _print_fig11,
         "fig12": _print_fig12,
-        "fig15": _make_fig15(args.workers),
+        "fig15": _print_fig15,
         "table4": _print_table4,
         "table5": _print_table5,
         "fig16": _print_fig16,
         "table6": _print_table6,
-        "fig17": _make_fig17(users_for("fig17"), args.workers),
-        "fig18": _make_fig18(users_for("fig18"), args.workers),
-        "fig19": _make_fig19(users_for("fig19"), args.workers),
+        "fig17": lambda: _print_fig17(users_for("fig17")),
+        "fig18": lambda: _print_fig18(users_for("fig18")),
+        "fig19": lambda: _print_fig19(users_for("fig19")),
         "mobile-vs-desktop": lambda: print(characterization.mobile_vs_desktop()),
         "daily-updates": lambda: print(
-            hitrate.daily_updates(
-                users_per_class=users_for("daily-updates"),
-                workers=args.workers,
-            )
+            hitrate.daily_updates(users_per_class=users_for("daily-updates"))
         ),
         "baselines": lambda: print(
-            ablations.baseline_hit_rates(
-                users_per_class=users_for("baselines"), workers=args.workers
-            )
+            ablations.baseline_hit_rates(users_per_class=users_for("baselines"))
         ),
         "extensions": _print_extensions,
         "export": lambda: print(
@@ -446,12 +422,12 @@ def main(argv=None) -> int:
             return 2
         runner = command
 
-    for flag, value in (("--workers", args.workers), ("--users", args.users)):
-        if value is not None and value <= 0:
-            print(
-                f"repro: {flag} must be positive, got {value}", file=sys.stderr
-            )
-            return 2
+    if args.users is not None and args.users <= 0:
+        print(
+            f"repro: --users must be positive, got {args.users}",
+            file=sys.stderr,
+        )
+        return 2
 
     tracer = None
     if mode in OBS_MODES:
@@ -474,7 +450,6 @@ def main(argv=None) -> int:
                 args.users if args.artifact == "all"
                 else users_for(args.artifact)
             ),
-            "workers": args.workers,
             "mode": mode or "run",
         },
     )

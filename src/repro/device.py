@@ -191,10 +191,6 @@ class PocketDevice:
         class _Slot(Cloudlet):
             """Registry-facing budget slot for a concrete cloudlet."""
 
-            def __init__(self, name, budget, bytes_stored_fn):
-                super().__init__(name, budget)
-                self._bytes_stored_fn = bytes_stored_fn
-
             def lookup_local(self, key):
                 return None
 
@@ -210,29 +206,12 @@ class PocketDevice:
             def remote_cost(self, key):
                 return (0.0, 0.0)
 
-            @property
-            def bytes_in_use(self):
-                return self._bytes_stored_fn()
-
         registry.register(
-            _Slot("search", spec.budgets["search"], lambda: search_cache.flash_bytes),
+            _Slot("search", spec.budgets["search"]),
             index_bytes=search_cache.dram_bytes or 1,
         )
-        registry.register(
-            _Slot("ads", spec.budgets["ads"], lambda: ads.bytes_stored), index_bytes=1
-        )
-        registry.register(
-            _Slot("web", spec.budgets["web"], lambda: web.store.bytes_stored),
-            index_bytes=1,
-        )
-        registry.register(
-            _Slot("maps", spec.budgets["maps"], lambda: maps.bytes_stored),
-            index_bytes=1,
-        )
-        registry.register(
-            _Slot("yellow", spec.budgets["yellow"], lambda: yellow.bytes_stored),
-            index_bytes=1,
-        )
+        for name in ("ads", "web", "maps", "yellow"):
+            registry.register(_Slot(name, spec.budgets[name]), index_bytes=1)
         return cls(spec, registry, search, ads, web, maps, yellow)
 
     # -- reporting ---------------------------------------------------------------

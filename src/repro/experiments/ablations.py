@@ -10,7 +10,6 @@
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -21,31 +20,30 @@ from repro.experiments.common import default_content, default_log
 from repro.logs.generator import SearchLog
 from repro.logs.schema import MONTH_SECONDS
 from repro.pocketsearch.cache import PocketSearchCache
-from repro.pocketsearch.content import CacheContent
 from repro.pocketsearch.database import ResultDatabase
-from repro.pocketsearch.engine import PocketSearchEngine
 from repro.pocketsearch.hashtable import QueryHashTable, hash64
 from repro.pocketsearch.ranking import PersonalizedRanker
-from repro.sim.replay import make_cache, CacheMode, select_replay_users
+from repro.sim.replay import (
+    CacheMode,
+    ReplayConfig,
+    run_replay,
+    select_replay_users,
+)
 from repro.storage.filesystem import FlashFilesystem
 from repro.storage.flash import NandFlash
 
 
-def _baseline_user_rates(
-    log: SearchLog, content: CacheContent, uid: int, t0: float, t1: float
-) -> Tuple[float, float, float]:
-    """(PocketSearch, LRU, browser) hit rates of one user's stream."""
+def _lru_and_browser_rates(
+    log: SearchLog, lru_capacity: int, uid: int, t0: float, t1: float
+) -> Tuple[float, float]:
+    """(LRU, browser) hit rates of one user's stream."""
     stream = log.for_user(uid).window(t0, t1)
-    cache = make_cache(content, CacheMode.FULL)
-    engine = PocketSearchEngine(cache)
-    lru = LruQueryCache(capacity=max(content.n_pairs, 1))
+    lru = LruQueryCache(capacity=lru_capacity)
     browser = BrowserUrlCache()
-    ps_hits = lru_hits = browser_hits = 0
+    lru_hits = browser_hits = 0
     for i in range(stream.n_events):
         query = stream.query_string(int(stream.query_keys[i]))
         url = stream.result_url(int(stream.result_keys[i]))
-        outcome = engine.serve_query(query, url)
-        ps_hits += int(outcome.outcome.hit)
         if lru.lookup(query) is not None:
             lru_hits += 1
         else:
@@ -54,64 +52,42 @@ def _baseline_user_rates(
             browser_hits += 1
         browser.visit(url)
     n = max(stream.n_events, 1)
-    return ps_hits / n, lru_hits / n, browser_hits / n
-
-
-_BASELINE_STATE: Dict[str, object] = {}
-
-
-def _baseline_init(log: SearchLog, content: CacheContent) -> None:
-    _BASELINE_STATE.update(log=log, content=content)
-
-
-def _baseline_worker(args: Tuple[int, float, float]) -> Tuple[float, float, float]:
-    uid, t0, t1 = args
-    return _baseline_user_rates(
-        _BASELINE_STATE["log"], _BASELINE_STATE["content"], uid, t0, t1
-    )
+    return lru_hits / n, browser_hits / n
 
 
 def baseline_hit_rates(
-    users_per_class: int = 30, seed: int = 23, workers: int = 1
+    users_per_class: int = 30, seed: int = 23
 ) -> Dict[str, float]:
     """Hit rates of PocketSearch and the baselines on identical streams.
 
-    The LRU cache gets the same entry budget as PocketSearch's pair count
-    (a generous setting: it ignores DRAM/flash structure).  The browser
-    cache serves only substring-matching navigational queries.
-
-    Per-user streams are independent, so ``workers > 1`` fans them out to
-    a process pool; rates are reassembled in user order and are identical
-    to the serial run.
+    PocketSearch's rate is the Section 6.2 full-cache replay of the
+    selected users.  The LRU cache gets the same entry budget as
+    PocketSearch's pair count (a generous setting: it ignores DRAM/flash
+    structure).  The browser cache serves only substring-matching
+    navigational queries.
     """
     log = default_log(seed=seed)
     content = default_content(seed=seed)
     users = select_replay_users(log, month=1, users_per_class=users_per_class)
+    pocketsearch = run_replay(
+        log,
+        ReplayConfig(users_per_class=users_per_class),
+        modes=(CacheMode.FULL,),
+        selected_users=users,
+    )[CacheMode.FULL].overall_hit_rate()
+
     t0, t1 = MONTH_SECONDS, 2 * MONTH_SECONDS
-    all_uids = [uid for uids in users.values() for uid in uids]
-
-    if workers > 1 and len(all_uids) > 1:
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes=min(workers, len(all_uids)),
-            initializer=_baseline_init,
-            initargs=(log, content),
-        ) as pool:
-            triples = pool.map(
-                _baseline_worker, [(uid, t0, t1) for uid in all_uids]
-            )
-    else:
-        triples = [
-            _baseline_user_rates(log, content, uid, t0, t1)
-            for uid in all_uids
-        ]
-
-    ps_rates: List[float] = [t[0] for t in triples]
-    lru_rates: List[float] = [t[1] for t in triples]
-    browser_rates: List[float] = [t[2] for t in triples]
+    lru_capacity = max(content.n_pairs, 1)
+    pairs = [
+        _lru_and_browser_rates(log, lru_capacity, uid, t0, t1)
+        for uids in users.values()
+        for uid in uids
+    ]
+    lru_rates: List[float] = [p[0] for p in pairs]
+    browser_rates: List[float] = [p[1] for p in pairs]
 
     return {
-        "pocketsearch": float(np.mean(ps_rates)),
+        "pocketsearch": pocketsearch,
         "lru": float(np.mean(lru_rates)),
         "browser_substring": float(np.mean(browser_rates)),
         "no_cache": 0.0,

@@ -74,19 +74,13 @@ def clear_replay_cache() -> None:
 def default_replay(
     users_per_class: int = 100,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> Dict[str, ReplayResult]:
-    """The memoized Section 6.2 replay (all three cache modes).
-
-    ``workers`` only accelerates the first (cache-filling) run — replay
-    results are bit-identical for any worker count, so the memo key
-    deliberately ignores it.
-    """
+    """The memoized Section 6.2 replay (all three cache modes)."""
     key = (users_per_class, seed)
     if key not in _replay_cache:
         _replay_cache[key] = run_replay(
             default_log(seed=seed),
-            ReplayConfig(users_per_class=users_per_class, workers=workers),
+            ReplayConfig(users_per_class=users_per_class),
             modes=CacheMode.ALL,
         )
     return _replay_cache[key]

@@ -36,13 +36,9 @@ def table6(seed: int = 23) -> Dict[str, dict]:
     }
 
 
-def figure17(
-    users_per_class: int = 100, seed: int = 23, workers: int = 1
-) -> Dict[str, dict]:
+def figure17(users_per_class: int = 100, seed: int = 23) -> Dict[str, dict]:
     """Figure 17: hit rate per class for full / community / personal."""
-    replay = default_replay(
-        users_per_class=users_per_class, seed=seed, workers=workers
-    )
+    replay = default_replay(users_per_class=users_per_class, seed=seed)
     out = {}
     for mode, result in replay.items():
         by_class = result.hit_rate_by_class()
@@ -53,13 +49,9 @@ def figure17(
     return out
 
 
-def figure18(
-    users_per_class: int = 100, seed: int = 23, workers: int = 1
-) -> Dict[str, dict]:
+def figure18(users_per_class: int = 100, seed: int = 23) -> Dict[str, dict]:
     """Figure 18: hit rates over the first week and first two weeks."""
-    replay = default_replay(
-        users_per_class=users_per_class, seed=seed, workers=workers
-    )
+    replay = default_replay(users_per_class=users_per_class, seed=seed)
     t0 = 1 * MONTH_SECONDS  # replay month start
     windows = {
         "week1": (t0, t0 + WEEK_SECONDS),
@@ -77,13 +69,9 @@ def figure18(
     return out
 
 
-def figure19(
-    users_per_class: int = 100, seed: int = 23, workers: int = 1
-) -> Dict[str, dict]:
+def figure19(users_per_class: int = 100, seed: int = 23) -> Dict[str, dict]:
     """Figure 19: navigational vs non-navigational share of cache hits."""
-    replay = default_replay(
-        users_per_class=users_per_class, seed=seed, workers=workers
-    )
+    replay = default_replay(users_per_class=users_per_class, seed=seed)
     full = replay[CacheMode.FULL]
     breakdown = full.navigational_breakdown()
     merged_nav = []
@@ -109,8 +97,7 @@ def figure19(
 
 
 def daily_updates(
-    users_per_class: int = 25, seed: int = 23, workers: int = 1,
-    engine: str = "vectorized",
+    users_per_class: int = 25, seed: int = 23, engine: str = "vectorized",
 ) -> Dict[str, float]:
     """Section 6.2.2: full-cache hit rate with vs without daily updates.
 
@@ -127,17 +114,13 @@ def daily_updates(
     users = select_replay_users(log, month=1, users_per_class=users_per_class)
     static = run_replay(
         log,
-        ReplayConfig(users_per_class=users_per_class, workers=workers),
+        ReplayConfig(users_per_class=users_per_class),
         modes=(CacheMode.FULL,),
         selected_users=users,
     )[CacheMode.FULL]
     daily = run_replay(
         log,
-        ReplayConfig(
-            users_per_class=users_per_class,
-            daily_updates=True,
-            workers=workers,
-        ),
+        ReplayConfig(users_per_class=users_per_class, daily_updates=True),
         modes=(CacheMode.FULL,),
         selected_users=users,
     )[CacheMode.FULL]

@@ -8,13 +8,11 @@ query.
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.experiments.common import default_content
-from repro.pocketsearch.content import CacheContent
 from repro.pocketsearch.cache import PocketSearchCache
 from repro.pocketsearch.database import ResultDatabase
 from repro.pocketsearch.engine import PocketSearchEngine
@@ -40,62 +38,7 @@ def _cached_queries(engine: PocketSearchEngine, n: int = 100) -> List[str]:
     return queries[::step][:n]
 
 
-_MEASURE_STATE: Dict[str, object] = {}
-
-
-def _measure_init(content: CacheContent) -> None:
-    """Build a per-worker engine from the shared cache content."""
-    cache = PocketSearchCache.from_content(
-        content, database=ResultDatabase(FlashFilesystem(NandFlash()))
-    )
-    _MEASURE_STATE["engine"] = PocketSearchEngine(cache)
-
-
-def _measure_shard(queries: List[str]) -> List[Tuple[float, float]]:
-    engine = _MEASURE_STATE["engine"]
-    out = []
-    for query in queries:
-        result = engine.measure_hit(query)
-        out.append((result.outcome.latency_s, result.outcome.energy_j))
-    return out
-
-
-def _measure_hits(
-    engine: PocketSearchEngine,
-    queries: List[str],
-    seed: int,
-    workers: int,
-) -> List[Tuple[float, float]]:
-    """(latency, energy) per query, optionally sharded across a pool.
-
-    ``measure_hit`` never mutates cache or database state and every
-    worker loads the identical content, so sharding the query list and
-    reassembling in query order reproduces the serial measurements
-    exactly.
-    """
-    if workers > 1 and len(queries) > 1:
-        content = default_content(seed=seed)
-        shard = max(1, -(-len(queries) // workers))
-        shards = [
-            queries[i: i + shard] for i in range(0, len(queries), shard)
-        ]
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(
-            processes=min(workers, len(shards)),
-            initializer=_measure_init,
-            initargs=(content,),
-        ) as pool:
-            return [pair for part in pool.map(_measure_shard, shards)
-                    for pair in part]
-    return [
-        (r.outcome.latency_s, r.outcome.energy_j)
-        for r in (engine.measure_hit(query) for query in queries)
-    ]
-
-
-def figure15(
-    seed: int = 23, n_queries: int = 100, workers: int = 1
-) -> Dict[str, dict]:
+def figure15(seed: int = 23, n_queries: int = 100) -> Dict[str, dict]:
     """Figures 15(a) and 15(b): mean per-query latency and energy.
 
     PocketSearch serves the queries from its cache; each radio serves the
@@ -104,9 +47,9 @@ def figure15(
     """
     engine = _engine(seed=seed)
     queries = _cached_queries(engine, n_queries)
-    measured = _measure_hits(engine, queries, seed, workers)
-    ps_lat = [m[0] for m in measured]
-    ps_en = [m[1] for m in measured]
+    measured = [engine.measure_hit(query).outcome for query in queries]
+    ps_lat = [m.latency_s for m in measured]
+    ps_en = [m.energy_j for m in measured]
     out = {
         "pocketsearch": {
             "mean_latency_s": float(np.mean(ps_lat)),

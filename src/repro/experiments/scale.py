@@ -61,7 +61,6 @@ def paper_scale_characterization(seed: int = 23) -> Dict[str, float]:
 
 def paper_scale_replay(
     users_per_class: int = 25,
-    workers: int = 1,
     seed: int = 23,
     months: int = 2,
     modes=(CacheMode.FULL,),
@@ -69,17 +68,12 @@ def paper_scale_replay(
     """Section 6.2 hit-rate replay at near-paper scale.
 
     The 10k-user population makes this the slowest replay in the repo;
-    it is the workload the batch engine and the sharded harness exist
-    for.  Results are bit-identical for any ``workers`` value.
+    it is the workload the batch engine exists for.
     """
     log = paper_scale_log(months=months, seed=seed)
     replay = run_replay(
         log,
-        ReplayConfig(
-            users_per_class=users_per_class,
-            seed=seed,
-            workers=workers,
-        ),
+        ReplayConfig(users_per_class=users_per_class, seed=seed),
         modes=modes,
     )
     out: Dict[str, dict] = {}

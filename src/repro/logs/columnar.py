@@ -6,17 +6,11 @@ event) plus a per-user index, which is what the vectorized replay engine
 (:mod:`repro.sim.vectorized`) consumes: instead of masking the full log
 once per user (O(users x events)), a :class:`ColumnarEventBatch` sorts
 the window once and hands out zero-copy per-user slices.
-
-Sharding is a pure per-user function: each user's shard is derived from
-``np.random.SeedSequence(seed, spawn_key=(domain, user_id))`` — never
-from a shared stream — so a user's shard assignment is invariant under
-any permutation of (or addition to) the rest of the population, the same
-property the replay harness relies on for bit-identical parallel runs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -27,12 +21,10 @@ __all__ = [
     "ColumnarEventBatch",
     "events_from_struct",
     "log_to_struct_array",
-    "shard_of_user",
 ]
 
 #: One replay event, fully resolved to integer keys.  ``query_key`` /
-#: ``result_key`` index the log's community + unique-pair key spaces;
-#: ``shard`` is the seeded per-user shard assignment.
+#: ``result_key`` index the log's community + unique-pair key spaces.
 EVENT_DTYPE = np.dtype(
     [
         ("user_id", np.int64),
@@ -42,32 +34,11 @@ EVENT_DTYPE = np.dtype(
         ("result_key", np.int64),
         ("navigational", np.bool_),
         ("device_code", np.int8),
-        ("shard", np.uint32),
     ]
 )
 
-#: Spawn-key domain for shard derivation.  Distinct from the replay
-#: harness's selection (0) and replay (1) domains so shard assignment
-#: never correlates with per-user replay randomness.
-_SHARD_DOMAIN = 2
 
-
-def shard_of_user(seed: int, user_id: int, n_shards: int) -> int:
-    """The user's shard in ``[0, n_shards)``, keyed by ``(seed, user_id)``.
-
-    A permutation-invariant pure function: it consumes no shared RNG
-    stream, so the assignment depends only on the (seed, user id) pair,
-    never on which other users exist or in what order they are processed.
-    """
-    if n_shards <= 0:
-        raise ValueError(f"n_shards must be positive, got {n_shards}")
-    seq = np.random.SeedSequence(seed, spawn_key=(_SHARD_DOMAIN, user_id))
-    return int(seq.generate_state(1, dtype=np.uint64)[0] % n_shards)
-
-
-def log_to_struct_array(
-    log, seed: int = 0, n_shards: int = 1
-) -> np.ndarray:
+def log_to_struct_array(log) -> np.ndarray:
     """Pack a :class:`SearchLog`'s columns into one struct array.
 
     Row order is exactly the log's row order — the struct array is a
@@ -83,30 +54,13 @@ def log_to_struct_array(
     out["result_key"] = log.result_keys
     out["navigational"] = log.navigational
     out["device_code"] = log.device_codes
-    if n_shards <= 0:
-        raise ValueError(f"n_shards must be positive, got {n_shards}")
-    if n == 0 or n_shards == 1:
-        # One shard: every user's assignment is 0 by definition, so the
-        # per-user SeedSequence derivation is skipped entirely.
-        out["shard"] = 0
-        return out
-    shard_by_uid: Dict[int, int] = {}
-    shards = np.empty(n, dtype=np.uint32)
-    for i, uid in enumerate(log.user_ids.tolist()):
-        shard = shard_by_uid.get(uid)
-        if shard is None:
-            shard = shard_of_user(seed, uid, n_shards)
-            shard_by_uid[uid] = shard
-        shards[i] = shard
-    out["shard"] = shards
     return out
 
 
 def events_from_struct(log, struct: np.ndarray) -> List[QueryEvent]:
     """Materialize struct-array rows back into :class:`QueryEvent` records.
 
-    The inverse of :func:`log_to_struct_array` (up to the shard column,
-    which has no :class:`QueryEvent` counterpart): resolving the integer
+    The inverse of :func:`log_to_struct_array`: resolving the integer
     keys through ``log``'s string tables reproduces ``log.events()``.
     """
     from repro.logs.generator import _DEVICE_NAMES
@@ -153,27 +107,19 @@ class ColumnarEventBatch:
         log,
         t_start: Optional[float] = None,
         t_end: Optional[float] = None,
-        seed: int = 0,
-        n_shards: int = 1,
-        user_ids: Optional[Sequence[int]] = None,
     ) -> "ColumnarEventBatch":
-        """Build a batch from a log, optionally windowed and user-filtered.
+        """Build a batch from a log, optionally windowed.
 
-        The window/user mask is applied to the log's columns *before*
-        packing, so out-of-window events are never materialized (a
-        month-long window of a multi-month log only pays for its own
-        rows).
+        The window mask is applied to the log's columns *before* packing,
+        so out-of-window events are never materialized (a month-long
+        window of a multi-month log only pays for its own rows).
         """
-        mask = None
+        source = log
         if t_start is not None or t_end is not None:
             lo = -np.inf if t_start is None else t_start
             hi = np.inf if t_end is None else t_end
-            mask = (log.timestamps >= lo) & (log.timestamps < hi)
-        if user_ids is not None:
-            selected = np.isin(log.user_ids, np.asarray(list(user_ids)))
-            mask = selected if mask is None else (mask & selected)
-        source = log._select(mask) if mask is not None else log
-        return cls(log_to_struct_array(source, seed=seed, n_shards=n_shards))
+            source = log._select((log.timestamps >= lo) & (log.timestamps < hi))
+        return cls(log_to_struct_array(source))
 
     @property
     def n_events(self) -> int:
@@ -190,11 +136,3 @@ class ColumnarEventBatch:
         if span is None:
             return self.struct[0:0]
         return self.struct[span[0]: span[1]]
-
-    def shards(self) -> Dict[int, List[int]]:
-        """shard id -> user ids, from the struct array's shard column."""
-        out: Dict[int, List[int]] = {}
-        for uid in self.user_ids:
-            row = self.for_user(uid)
-            out.setdefault(int(row["shard"][0]), []).append(uid)
-        return out

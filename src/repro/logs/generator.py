@@ -178,38 +178,6 @@ class SearchLog:
         users, counts = np.unique(sub.user_ids, return_counts=True)
         return dict(zip(users.tolist(), counts.tolist()))
 
-    # -- columnar batches -----------------------------------------------------
-
-    def to_struct_array(self, seed: int = 0, n_shards: int = 1) -> np.ndarray:
-        """Pack the event columns into one numpy struct array.
-
-        Row order is preserved exactly; the extra ``shard`` column is the
-        seeded per-user shard assignment (see :mod:`repro.logs.columnar`).
-        """
-        from repro.logs.columnar import log_to_struct_array
-
-        return log_to_struct_array(self, seed=seed, n_shards=n_shards)
-
-    def to_columnar(
-        self,
-        t_start: Optional[float] = None,
-        t_end: Optional[float] = None,
-        seed: int = 0,
-        n_shards: int = 1,
-        user_ids=None,
-    ):
-        """A :class:`~repro.logs.columnar.ColumnarEventBatch` over a window.
-
-        The batch indexes events by user for O(1) per-user slices — the
-        layout the vectorized replay engine consumes.
-        """
-        from repro.logs.columnar import ColumnarEventBatch
-
-        return ColumnarEventBatch.from_log(
-            self, t_start=t_start, t_end=t_end, seed=seed,
-            n_shards=n_shards, user_ids=user_ids,
-        )
-
     # -- materialization ------------------------------------------------------
 
     def events(self) -> Iterator[QueryEvent]:

@@ -206,10 +206,11 @@ def main(argv=None) -> int:
         width = max(len(f"{r['bench']}:{r['metric']}") for r in shown)
         for row in shown:
             flag = "REGRESSED" if row in regressions else "ok"
+            change = "worse" if row["regression"] > 0 else "better"
             print(
                 f"{row['bench']}:{row['metric']:<{width}}  "
                 f"{row['baseline']:.6g} -> {row['candidate']:.6g}  "
-                f"({row['regression']:+.1%} worse, {row['direction']} "
+                f"({abs(row['regression']):.1%} {change}, {row['direction']} "
                 f"is better)  {flag}"
             )
     print(

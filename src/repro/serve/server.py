@@ -421,7 +421,3 @@ class CloudletServer:
     @property
     def inflight(self) -> int:
         return self._inflight
-
-    @property
-    def n_sessions(self) -> int:
-        return len(self._sessions)

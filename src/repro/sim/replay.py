@@ -21,13 +21,13 @@ records, users are served event by event through a
 opens the per-query spans, and the differential tests hold the batch
 engine bit-identical to it.
 
-Each user's replay is independent (one phone per user), so the harness
-is embarrassingly parallel: ``ReplayConfig(workers=N)`` partitions the
-selected users into shards dispatched to a ``multiprocessing`` pool (see
-:mod:`repro.sim.shard`).  All randomness is derived per user from
+Each user's replay is independent (one phone per user), and users are
+replayed one after another in the calling process.  The only randomness,
+the user-selection lottery, is derived per user from
 ``np.random.SeedSequence`` spawn keys over the user id — never from a
-shared stream — so results are bit-identical regardless of worker count,
-shard size, or scheduling order.
+shared stream — so one class's candidates never perturb another's
+picks, and a user's selection does not depend on which other users
+exist or the order they are visited in.
 """
 
 from __future__ import annotations
@@ -80,18 +80,12 @@ class ReplayConfig:
     policy: ContentPolicy = PAPER_OPERATING_POINT
     seed: int = 97
     daily_updates: bool = False
-    #: Worker processes for the replay fan-out.  1 (the default) keeps
-    #: the exact in-process serial path; N > 1 dispatches user shards to
-    #: a multiprocessing pool.  Results are bit-identical either way.
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.users_per_class <= 0:
             raise ValueError("users_per_class must be positive")
         if self.build_month == self.replay_month:
             raise ValueError("build and replay months must differ")
-        if self.workers <= 0:
-            raise ValueError("workers must be positive")
 
 
 @dataclass
@@ -160,8 +154,8 @@ class ReplayResult:
         return out
 
 
-# Spawn-key domain of the selection lottery (the columnar shard
-# assignment uses 2).  Renumbering it would change every user selection.
+# Spawn-key domain of the selection lottery.  Renumbering it would
+# change every user selection.
 _SELECTION_DOMAIN = 0
 
 
@@ -321,22 +315,13 @@ def run_replay(
     results: Dict[str, ReplayResult] = {}
     for mode in modes:
         with tracer.span("replay_mode", mode=mode) as mode_span:
-            if config.workers > 1 and len(work) > 1:
-                from repro.sim.shard import run_sharded_mode
-
-                users, stats = run_sharded_mode(
-                    log, content, daily_contents, config, mode, work,
-                    t_start, t_end,
+            users = [
+                replay_one_user(
+                    log, content, daily_contents, config, mode,
+                    user_class, uid, t_start, t_end,
                 )
-                mode_span.set_attrs(**stats)
-            else:
-                users = [
-                    replay_one_user(
-                        log, content, daily_contents, config, mode,
-                        user_class, uid, t_start, t_end,
-                    )
-                    for user_class, uid in work
-                ]
+                for user_class, uid in work
+            ]
             result = ReplayResult(mode=mode, users=users)
             mode_span.set_attrs(
                 n_users=len(result.users),
@@ -357,11 +342,10 @@ def replay_one_user(
     t_start: float,
     t_end: float,
 ) -> UserReplayResult:
-    """Replay a single user on a fresh phone (shared by serial/sharded paths).
+    """Replay a single user on a fresh phone.
 
     Everything a user's outcome depends on — the cache content, the log
-    window, and the config — is passed in explicitly, so the result is
-    identical whether this runs inline or in a worker process.
+    window, and the config — is passed in explicitly.
 
     The batch engine (:func:`~repro.sim.vectorized.replay_user_vectorized`)
     serves the user unless the tracer is recording.  Then the per-event
@@ -380,7 +364,7 @@ def replay_one_user(
     else:
         replay_user_vectorized(
             log, content, daily, mode, user_id, t_start, t_end,
-            metrics=metrics, seed=config.seed,
+            metrics=metrics,
         )
     return UserReplayResult(
         user_id=user_id, user_class=user_class, metrics=metrics

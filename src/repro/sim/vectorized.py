@@ -282,7 +282,7 @@ class ReplayUniverse:
     hashes collide in the real hash table) and mirrors the community
     bulk-load: the initial hash-table slots (:attr:`initial`) and the
     result-database layout.  Shared read-only across all users of a
-    shard, as are the daily-update plans (:meth:`day_plans`).
+    replay, as are the daily-update plans (:meth:`day_plans`).
     """
 
     def __init__(
@@ -1036,10 +1036,11 @@ def _emit_outcomes(
     return out
 
 
-# Process-level caches: shards replay many users against the same log /
-# content, and the mirrors are immutable, so they are built once per
-# worker.  An entry keeps the objects whose id() its key holds, so a key
-# can never alias a collected object.
+# Process-level caches: a replay serves many users against the same log
+# and content, and the two halves of ``daily_updates`` share both, so the
+# immutable mirrors are built once per process.  An entry keeps the
+# objects whose id() its key holds, so a key can never alias a collected
+# object.
 _UNIVERSE_CACHE: Dict[tuple, tuple] = {}
 _BATCH_CACHE: Dict[tuple, tuple] = {}
 _CONTENT_CACHE: Dict[tuple, tuple] = {}
@@ -1068,14 +1069,12 @@ def _universe_for(
     )
 
 
-def _batch_for(log: SearchLog, t_start: float, t_end: float, seed: int):
+def _batch_for(log: SearchLog, t_start: float, t_end: float):
     from repro.logs.columnar import ColumnarEventBatch
 
     return _memoized(
-        _BATCH_CACHE, (log,), (t_start, t_end, seed),
-        lambda: ColumnarEventBatch.from_log(
-            log, t_start=t_start, t_end=t_end, seed=seed
-        ),
+        _BATCH_CACHE, (log,), (t_start, t_end),
+        lambda: ColumnarEventBatch.from_log(log, t_start=t_start, t_end=t_end),
     )
 
 
@@ -1103,7 +1102,6 @@ def replay_user_vectorized(
     t_start: float,
     t_end: float,
     metrics: Optional[MetricsCollector] = None,
-    seed: int = 0,
     collect_patches: bool = False,
 ):
     """Vectorized replay of one user; returns (metrics, patches).
@@ -1116,7 +1114,7 @@ def replay_user_vectorized(
     event instead.
     """
     universe = _universe_for(log, content, mode)
-    batch = _batch_for(log, t_start, t_end, seed)
+    batch = _batch_for(log, t_start, t_end)
     events = batch.for_user(user_id)
     patches: Optional[List[UpdatePatch]] = (
         [] if (collect_patches and daily_contents) else None

@@ -3,8 +3,7 @@
 A checked-in fixture (``tests/fixtures/golden_replay.json``) pins the
 per-class hit rates of a small fully-deterministic replay.  Any silent
 drift in the log generator, content mining, cache stack, or replay
-harness — including a nondeterministic parallel merge — moves these
-numbers and fails the suite.
+harness moves these numbers and fails the suite.
 
 Regenerate (after an *intentional* behaviour change) with::
 
@@ -42,7 +41,7 @@ GOLDEN_CONFIG = {
 TOLERANCE = 1e-9
 
 
-def _golden_replay(workers: int = 1):
+def _golden_replay():
     log = generate_logs(
         community=CommunityModel(
             Vocabulary.build(VocabularyConfig(**GOLDEN_CONFIG["vocabulary"]))
@@ -57,7 +56,6 @@ def _golden_replay(workers: int = 1):
         ReplayConfig(
             users_per_class=GOLDEN_CONFIG["users_per_class"],
             seed=GOLDEN_CONFIG["replay_seed"],
-            workers=workers,
         ),
         modes=[CacheMode.FULL],
     )[CacheMode.FULL]
@@ -118,19 +116,9 @@ class TestGoldenReplay:
                 expected, abs=TOLERANCE
             ), user_class
 
-    def test_parallel_run_matches_golden(self, golden):
-        """The sharded path (batch engine in the workers) must hit the
-        same golden numbers."""
-        parallel = _observed(_golden_replay(workers=2))
-        assert parallel["total_queries"] == golden["total_queries"]
-        assert parallel["total_hits"] == golden["total_hits"]
-        assert parallel["overall_hit_rate"] == pytest.approx(
-            golden["overall_hit_rate"], abs=TOLERANCE
-        )
-
     def test_vectorized_run_matches_golden(self, golden):
-        """The batch engine (an untraced serial run) must hit the same
-        golden numbers."""
+        """The batch engine (an untraced run) must hit the same golden
+        numbers."""
         vectorized = _observed(_golden_replay())
         assert vectorized["total_queries"] == golden["total_queries"]
         assert vectorized["total_hits"] == golden["total_hits"]

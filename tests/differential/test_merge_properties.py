@@ -1,8 +1,9 @@
 """Property tests for ``MetricsCollector.merge``.
 
-The sharded replay's deterministic merge leans on algebraic properties
-of the collector: merging must behave like (multi)set union of the
-underlying outcome streams.  Checked here with hypothesis-generated
+``ReplayResult.navigational_breakdown`` merges each class's per-user
+collectors, which leans on algebraic properties of the collector:
+merging must behave like (multi)set union of the underlying outcome
+streams.  Checked here with hypothesis-generated
 outcome lists:
 
 * associativity — ``(a + b) + c == a + (b + c)`` on the full outcome

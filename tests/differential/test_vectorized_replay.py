@@ -1,26 +1,25 @@
-"""Three-way differential equivalence: serial ≡ parallel ≡ vectorized.
+"""Differential equivalence: per-event ≡ batch replay.
 
 The batch engine (:mod:`repro.sim.vectorized`), which serves every
 untraced replay, must be *bit-identical* to the scalar per-event path
 that serves traced ones — same per-query outcomes, same aggregate
-reports — across every cache mode, with and without daily updates,
-serial and sharded.  The scalar reference runs under a recording tracer
+reports — across every cache mode, with and without daily updates.
+The scalar reference runs under a recording tracer
 (:func:`tests.differential.per_event.per_event_replay`), which is what
-selects the per-event path.  Together with ``test_parallel_replay``
-(serial ≡ parallel) this closes the full serial ≡ parallel ≡ vectorized
-triangle: each vectorized variant here is compared against the scalar
-serial reference directly.
+selects the per-event path.
 """
 
 import pytest
 
+from repro.logs.schema import UserClass
 from repro.sim.replay import CacheMode, ReplayConfig, run_replay
 
-from tests.differential.per_event import per_event_replay
-from tests.differential.test_parallel_replay import (
-    USERS_PER_CLASS,
+from tests.differential.per_event import (
     assert_replay_identical,
+    per_event_replay,
 )
+
+USERS_PER_CLASS = 3
 
 
 def _run(small_log, mode, **kwargs):
@@ -51,7 +50,7 @@ def scalar_daily(request):
 
 
 class TestVectorizedEqualsScalar:
-    """serial scalar ≡ serial vectorized, full mode matrix."""
+    """per-event ≡ batch, full mode matrix."""
 
     @pytest.mark.parametrize("mode", CacheMode.ALL)
     def test_plain(self, small_log, scalar_plain, mode):
@@ -64,19 +63,17 @@ class TestVectorizedEqualsScalar:
         assert_replay_identical(scalar_daily[mode], vectorized)
 
 
-class TestVectorizedParallel:
-    """Vectorized composes with workers=N sharding (third triangle edge)."""
-
-    @pytest.mark.parametrize("mode", CacheMode.ALL)
-    def test_sharded_vectorized_equals_serial_scalar(
-        self, small_log, scalar_plain, mode
-    ):
-        sharded = _run(small_log, mode, workers=2)
-        assert_replay_identical(scalar_plain[mode], sharded)
-
-    def test_sharded_vectorized_daily(self, small_log, scalar_daily):
-        sharded = _run(
-            small_log, CacheMode.FULL, workers=2, daily_updates=True
-        )
-        assert_replay_identical(scalar_daily[CacheMode.FULL], sharded)
-
+class TestUserOrder:
+    def test_user_order_is_class_then_uid(self, small_log):
+        """The user list preserves (class, sorted uid) work order."""
+        result = _run(small_log, CacheMode.FULL)
+        seen_classes = []
+        for user in result.users:
+            if user.user_class not in seen_classes:
+                seen_classes.append(user.user_class)
+        assert seen_classes == [c for c in UserClass if c in seen_classes]
+        by_class = {}
+        for user in result.users:
+            by_class.setdefault(user.user_class, []).append(user.user_id)
+        for uids in by_class.values():
+            assert uids == sorted(uids)

@@ -9,6 +9,8 @@ figures.
 import numpy as np
 import pytest
 
+from repro.baselines.browser_cache import BrowserUrlCache
+from repro.baselines.lru import LruQueryCache
 from repro.experiments import (
     ablations,
     cachedesign,
@@ -17,8 +19,37 @@ from repro.experiments import (
     performance,
     scaling,
 )
+from repro.experiments.common import default_content, default_log
+from repro.logs.schema import MONTH_SECONDS
+from repro.pocketsearch.engine import PocketSearchEngine
+from repro.sim.replay import CacheMode, make_cache, select_replay_users
 
 USERS_PER_CLASS = 40  # reduced sample for test runtime
+
+
+def _baseline_user_rates(log, content, uid, t0, t1):
+    """(PocketSearch, LRU, browser) hit rates of one user's stream, one
+    event at a time: the reference ``baseline_hit_rates`` must equal."""
+    stream = log.for_user(uid).window(t0, t1)
+    cache = make_cache(content, CacheMode.FULL)
+    engine = PocketSearchEngine(cache)
+    lru = LruQueryCache(capacity=max(content.n_pairs, 1))
+    browser = BrowserUrlCache()
+    ps_hits = lru_hits = browser_hits = 0
+    for i in range(stream.n_events):
+        query = stream.query_string(int(stream.query_keys[i]))
+        url = stream.result_url(int(stream.result_keys[i]))
+        outcome = engine.serve_query(query, url)
+        ps_hits += int(outcome.outcome.hit)
+        if lru.lookup(query) is not None:
+            lru_hits += 1
+        else:
+            lru.insert(query, url)
+        if browser.lookup(query) is not None:
+            browser_hits += 1
+        browser.visit(url)
+    n = max(stream.n_events, 1)
+    return ps_hits / n, lru_hits / n, browser_hits / n
 
 
 class TestSection2:
@@ -260,6 +291,30 @@ class TestAblations:
         assert rates["pocketsearch"] > rates["lru"]
         assert rates["pocketsearch"] > rates["browser_substring"] + 0.2
         assert rates["no_cache"] == 0.0
+
+    def test_baselines_equal_the_per_event_reference(self):
+        users_per_class, seed = 8, 23
+        rates = ablations.baseline_hit_rates(
+            users_per_class=users_per_class, seed=seed
+        )
+        log = default_log(seed=seed)
+        content = default_content(seed=seed)
+        users = select_replay_users(
+            log, month=1, users_per_class=users_per_class
+        )
+        triples = [
+            _baseline_user_rates(
+                log, content, uid, MONTH_SECONDS, 2 * MONTH_SECONDS
+            )
+            for uids in users.values()
+            for uid in uids
+        ]
+        assert rates == {
+            "pocketsearch": float(np.mean([t[0] for t in triples])),
+            "lru": float(np.mean([t[1] for t in triples])),
+            "browser_substring": float(np.mean([t[2] for t in triples])),
+            "no_cache": 0.0,
+        }
 
     def test_ranking_lambda_sweep(self):
         sweep = ablations.ranking_lambda_sweep(

@@ -1,19 +1,15 @@
 """Columnar event-batch properties (builder for the vectorized engine).
 
-Three contracts, property-tested over small generated universes:
+Two contracts, property-tested over small generated universes:
 
 1. **Lossless round trip** — ``SearchLog`` → struct array →
    ``QueryEvent`` list reproduces ``log.events()`` exactly, field for
    field, in order.
-2. **No same-user reordering** — however a batch windows, filters, and
-   sorts, each user's events stay in original log (time) order.
-3. **Permutation-invariant sharding** — a user's shard is a pure
-   function of ``SeedSequence(seed, user_id)``: independent of the rest
-   of the population, stable under any processing order.
+2. **No same-user reordering** — however a batch windows and sorts,
+   each user's events stay in original log (time) order.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logs.columnar import (
@@ -21,7 +17,6 @@ from repro.logs.columnar import (
     ColumnarEventBatch,
     events_from_struct,
     log_to_struct_array,
-    shard_of_user,
 )
 from repro.logs.generator import GeneratorConfig, generate_logs
 from repro.logs.popularity import CommunityModel
@@ -72,12 +67,12 @@ def test_struct_array_round_trip_is_lossless(world):
     assert round_tripped == list(log.events())
 
 
-@given(world=tiny_worlds(), n_shards=st.integers(min_value=1, max_value=7))
+@given(world=tiny_worlds())
 @settings(max_examples=10, deadline=None)
-def test_batch_never_reorders_same_user_events(world, n_shards):
+def test_batch_never_reorders_same_user_events(world):
     nav, non_nav, users, seed = world
     log = _tiny_log(nav, non_nav, users, 1, seed)
-    batch = ColumnarEventBatch.from_log(log, seed=seed, n_shards=n_shards)
+    batch = ColumnarEventBatch.from_log(log)
     assert batch.n_events == log.n_events
     for uid in batch.user_ids:
         rows = batch.for_user(uid)
@@ -88,53 +83,8 @@ def test_batch_never_reorders_same_user_events(world, n_shards):
         assert (rows["timestamp"] == original).all()
         # A windowed batch preserves relative order too.
         lo = float(np.median(original))
-        windowed = ColumnarEventBatch.from_log(
-            log, t_start=lo, seed=seed
-        ).for_user(uid)
+        windowed = ColumnarEventBatch.from_log(log, t_start=lo).for_user(uid)
         assert (windowed["timestamp"] == original[original >= lo]).all()
-
-
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    user_id=st.integers(min_value=0, max_value=100_000),
-    n_shards=st.integers(min_value=1, max_value=64),
-)
-@settings(max_examples=50, deadline=None)
-def test_shard_is_pure_function_of_seed_and_user(seed, user_id, n_shards):
-    first = shard_of_user(seed, user_id, n_shards)
-    assert 0 <= first < n_shards
-    assert shard_of_user(seed, user_id, n_shards) == first
-    # Matches the explicit SeedSequence derivation, domain-separated from
-    # the replay harness's selection (0) and replay (1) spawn keys.
-    seq = np.random.SeedSequence(seed, spawn_key=(2, user_id))
-    assert first == int(
-        seq.generate_state(1, dtype=np.uint64)[0] % n_shards
-    )
-
-
-def test_shard_assignment_is_permutation_invariant(small_log):
-    """Shard columns agree no matter which users are in the batch."""
-    seed, n_shards = 23, 4
-    full = ColumnarEventBatch.from_log(small_log, seed=seed, n_shards=n_shards)
-    uids = full.user_ids
-    assert len(uids) > 3
-    # Rebuild with an arbitrary subset (reversed order): assignments of
-    # the surviving users must be identical.
-    subset = list(reversed(uids[:: 2]))
-    filtered = ColumnarEventBatch.from_log(
-        small_log, seed=seed, n_shards=n_shards, user_ids=subset
-    )
-    for uid in filtered.user_ids:
-        assert (
-            int(filtered.for_user(uid)["shard"][0])
-            == int(full.for_user(uid)["shard"][0])
-            == shard_of_user(seed, uid, n_shards)
-        )
-    # shards() partitions exactly the users present.
-    shards = filtered.shards()
-    assert sorted(u for us in shards.values() for u in us) == sorted(
-        filtered.user_ids
-    )
 
 
 class TestBatchEdgeCases:
@@ -144,24 +94,9 @@ class TestBatchEdgeCases:
         )
         assert batch.n_events == 0
         assert batch.user_ids == []
-        assert batch.shards() == {}
 
     def test_unknown_user_yields_empty_slice(self, small_log):
         batch = ColumnarEventBatch.from_log(small_log)
         rows = batch.for_user(10**9)
         assert len(rows) == 0
         assert rows.dtype == EVENT_DTYPE
-
-    def test_n_shards_must_be_positive(self, small_log):
-        with pytest.raises(ValueError):
-            shard_of_user(0, 1, 0)
-        with pytest.raises(ValueError):
-            log_to_struct_array(small_log, n_shards=0)
-
-    def test_searchlog_methods_delegate(self, small_log):
-        struct = small_log.to_struct_array()
-        assert len(struct) == small_log.n_events
-        batch = small_log.to_columnar(
-            t_start=MONTH_SECONDS, t_end=2 * MONTH_SECONDS
-        )
-        assert batch.n_events == small_log.month(1).n_events

@@ -87,6 +87,30 @@ class TestMain:
         assert code == 1
         assert "sojourn_p99_s" in capsys.readouterr().out
 
+    def test_verbose_labels_each_row_by_its_sign(self, tmp_path, capsys):
+        baseline = _bench_file(
+            tmp_path, "base.json",
+            [_manifest("loadtest", {"sojourn_p99_s": 1.0, "hit_rate": 0.5})],
+        )
+        candidate = _bench_file(
+            tmp_path, "cand.json",
+            [_manifest("loadtest", {"sojourn_p99_s": 3.0, "hit_rate": 0.6})],
+        )
+        code = main(
+            ["--baseline", baseline, "--candidate", candidate, "--verbose"]
+        )
+        assert code == 1
+        rows = {
+            line.split()[0]: line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("loadtest:")
+        }
+        assert "(20.0% better, higher is better)  ok" in rows["loadtest:hit_rate"]
+        assert (
+            "(200.0% worse, lower is better)  REGRESSED"
+            in rows["loadtest:sojourn_p99_s"]
+        )
+
     def test_exit_0_when_clean(self, tmp_path):
         benches = [_manifest("loadtest", {"sojourn_p99_s": 1.0})]
         baseline = _bench_file(tmp_path, "base.json", benches)

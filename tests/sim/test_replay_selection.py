@@ -6,17 +6,13 @@ because only it opens the per-query spans ``repro trace`` and ``repro
 profile`` report.  No option selects a path.
 """
 
-import multiprocessing
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
 from repro.obs import trace
 from repro.sim import replay
 from repro.sim.replay import CacheMode, ReplayConfig, run_replay
-
-from tests.differential.test_parallel_replay import assert_replay_identical
 
 CONFIG = ReplayConfig(users_per_class=2, daily_updates=True)
 
@@ -38,14 +34,9 @@ def _refuse(*args, **kwargs):
 
 
 class TestUntraced:
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_never_enters_the_per_event_path(
-        self, small_log, monkeypatch, workers
-    ):
-        if workers > 1 and multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patch reaches pool workers only through fork")
+    def test_never_enters_the_per_event_path(self, small_log, monkeypatch):
         monkeypatch.setattr(replay, "replay_user", _refuse)
-        result = _full(small_log, replace(CONFIG, workers=workers))
+        result = _full(small_log, CONFIG)
         assert sum(user.metrics.count for user in result.users) > 0
 
 
@@ -77,9 +68,3 @@ class TestTraced:
         refreshes = [r for r in records if r.name == "community_refresh"]
         assert refreshes
         assert all(r.parent_id in users for r in refreshes)
-
-    def test_sharded_run_equals_the_serial_run(self, small_log):
-        serial = _full(small_log, CONFIG)
-        trace.enable()
-        sharded = _full(small_log, replace(CONFIG, workers=2))
-        assert_replay_identical(serial, sharded)

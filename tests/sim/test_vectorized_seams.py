@@ -12,9 +12,9 @@ tests pin the seam itself:
   :class:`UpdatePatch` accounting — byte counts, pair/result add/remove
   counts, pruned queries, compaction costs — is identical to driving the
   real scalar server against a real cache;
-* degenerate batches (users with no events, single-event users, empty
-  shards) pass through the batch path without crashing and produce the
-  scalar engine's outcomes.
+* degenerate batches (users with no events, single-event users) pass
+  through the batch path without crashing and produce the scalar
+  engine's outcomes.
 """
 
 import pytest
@@ -30,7 +30,6 @@ from repro.sim.replay import (
     make_cache,
     select_replay_users,
 )
-from repro.sim.shard import partition_shards
 from repro.sim.vectorized import DAY_SECONDS, replay_user_vectorized
 
 T_START = 1 * MONTH_SECONDS
@@ -172,16 +171,6 @@ class TestDegenerateBatches:
             timestamp=t0,
         ).outcome
         assert metrics.outcomes == [expected]
-
-    def test_empty_shard_partition(self, replay_users):
-        """More shards than users leaves trailing shards empty; the
-        partitioner never emits them and never drops a user."""
-        work = [(None, uid) for uid in replay_users[:3]]
-        shards = partition_shards(work, shard_size=1)
-        assert all(shard for shard in shards)
-        assert sorted(uid for shard in shards for _, uid in shard) == sorted(
-            uid for _, uid in work
-        )
 
     def test_daily_user_with_no_events_still_no_refresh(
         self, small_log, small_content, daily_contents
