@@ -179,6 +179,11 @@ class EdgeTier:
         #: the last :meth:`stats` snapshot, dropped whenever a fetch, shed,
         #: flush or slice seeding moves a counter
         self._stats: Optional[Dict[str, object]] = None
+        #: each node's row of that snapshot, and the nodes whose
+        #: counters moved since (rebuilt with the next snapshot)
+        self._node_ids = sorted(self.nodes)
+        self._node_rows: Dict[int, Dict[str, float]] = {}
+        self._moved = set(self._node_ids)
         #: called as ``fn(t, node_id, n_deltas)`` after each propagation
         #: flush — the flight recorder hangs off this.
         self.on_flush: Optional[Callable[[float, int, int], None]] = None
@@ -235,14 +240,14 @@ class EdgeTier:
         if bound is not None and node.inflight >= bound:
             node.sheds += 1
             self.sheds += 1
-            self._stats = None
+            self._node_moved(node.node_id)
             if trace is not None:
                 trace.annotate(edge_node=node.node_id)
             return EdgeFetchResult(
                 node_id=node.node_id, shed=True, reason=EDGE_SHED_REASON
             )
         node.inflight += 1
-        self._stats = None
+        self._node_moved(node.node_id)
         try:
             rtt = self.topology.edge_rtt_s * scale
             if rtt > 0:
@@ -253,7 +258,7 @@ class EdgeTier:
             node.record_delta(key)
             # Also covers the batcher's fetch counters, which move before
             # its first await.
-            self._stats = None
+            self._node_moved(node.node_id)
             if hit:
                 service = self.topology.edge_service_s * scale
                 if service > 0:
@@ -298,7 +303,7 @@ class EdgeTier:
         finally:
             node.inflight -= 1
             # Also covers the admission above and the flush below.
-            self._stats = None
+            self._node_moved(node.node_id)
         self._maybe_flush(node, loop.time())
         return result
 
@@ -323,7 +328,7 @@ class EdgeTier:
 
     def flush_all(self) -> None:
         """Propagate every pending delta (end-of-run settlement)."""
-        self._stats = None
+        self._all_moved()
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             while node.pending_deltas:
@@ -335,7 +340,7 @@ class EdgeTier:
         eventual community refresh), accounted as one ``UpdatePatch``."""
         if per_node <= 0:
             raise ValueError("per_node must be positive")
-        self._stats = None
+        self._all_moved()
         top = self.origin.top_keys(per_node * len(self.nodes))
         pushed = 0
         for node_id in sorted(self.nodes):
@@ -363,7 +368,7 @@ class EdgeTier:
         replicates the ranking (any node may be asked for any key).
         """
         ordered = sorted(scored_keys, key=lambda kv: (kv[1], kv[0]))
-        self._stats = None
+        self._all_moved()
         seeded = 0
         for key, _ in ordered:
             if self.topology.routing == "key":
@@ -406,20 +411,39 @@ class EdgeTier:
 
         The snapshot is rebuilt only after the tier's own fetches, sheds,
         flushes or slice seeding have moved a counter; between those the
-        same (read-only) dict is returned.  Code that drives nodes
-        directly reads their ``stats()`` instead.
+        same (read-only) dict is returned.  A rebuild makes new dicts
+        (earlier snapshots never change) but rebuilds only the rows of
+        nodes whose counters moved; the rows of the others are shared.
+        Code that drives nodes directly reads their ``stats()`` instead.
         """
         if self._stats is None:
+            rows = self._node_rows
+            for node_id in self._moved:
+                rows[node_id] = self.nodes[node_id].stats()
+            self._moved.clear()
+            hits = self.community_hits
+            misses = self.community_misses
+            probes = hits + misses
             self._stats = {
                 "n_nodes": self.topology.n_nodes,
                 "routing": self.topology.routing,
-                "community_hits": self.community_hits,
-                "community_misses": self.community_misses,
-                "community_hit_rate": self.community_hit_rate,
+                "community_hits": hits,
+                "community_misses": misses,
+                "community_hit_rate": hits / probes if probes else 0.0,
                 "origin_fetches": self.origin_fetches,
                 "origin_piggybacked": self.origin_piggybacked,
                 "sheds": self.sheds,
                 "origin": self.origin.stats(),
-                "nodes": [self.nodes[i].stats() for i in sorted(self.nodes)],
+                "nodes": [rows[i] for i in self._node_ids],
             }
         return self._stats
+
+    def _node_moved(self, node_id: int) -> None:
+        """Drop the snapshot: a counter of ``node_id`` moved."""
+        self._stats = None
+        self._moved.add(node_id)
+
+    def _all_moved(self) -> None:
+        """Drop the snapshot and every node's row."""
+        self._stats = None
+        self._moved.update(self._node_ids)

@@ -11,11 +11,8 @@ from functools import lru_cache
 from typing import Dict
 
 from repro.logs.generator import GeneratorConfig, SearchLog, generate_logs
-from repro.pocketsearch.content import (
-    CacheContent,
-    PAPER_OPERATING_POINT,
-    build_cache_content,
-)
+from repro.pocketsearch.content import CacheContent, PAPER_OPERATING_POINT
+from repro.sim import replay, vectorized
 from repro.sim.replay import CacheMode, ReplayConfig, ReplayResult, run_replay
 
 #: Default seeds/scales for all experiments (see DESIGN.md section 5).
@@ -49,13 +46,15 @@ def _desktop_log(seed: int) -> SearchLog:
 
 
 def default_content(seed: int = DEFAULT_SEED) -> CacheContent:
-    """Community cache content mined from month 0 of the default log."""
-    return _default_content(seed)
+    """Community cache content mined from month 0 of the default log.
 
-
-@lru_cache(maxsize=2)
-def _default_content(seed: int) -> CacheContent:
-    return build_cache_content(default_log(seed=seed).month(0), PAPER_OPERATING_POINT)
+    Memoized where a replay's build-month content is, so a process that
+    also replays the default log mines month 0 once.
+    """
+    return vectorized.month_content(
+        default_log(seed=seed), 0, PAPER_OPERATING_POINT,
+        replay.build_cache_content,
+    )
 
 
 _replay_cache: Dict[int, Dict[str, ReplayResult]] = {}

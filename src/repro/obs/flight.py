@@ -21,6 +21,15 @@ every buffer is a ``deque(maxlen=...)``.  Bucket rows are not
 accumulated here: each tick reads the closed bucket's
 :class:`~repro.obs.timeseries.ServeBucket` from the telemetry ring.
 
+Rows are built when they are read, not when they are captured.  The
+hot rings hold compact entries: a request is its
+:class:`~repro.obs.timeseries.RequestRecord`, a bucket row is a tuple of
+the values read at the tick, and an edge row is a reference to the
+read-only :meth:`~repro.edge.tier.EdgeTier.stats` snapshot of that tick.
+:meth:`FlightRecorder.records`, :meth:`FlightRecorder.last_bucket` and
+:meth:`FlightRecorder.dump_bundle` expand them into the record dicts a
+bundle holds; sheds, alerts and flushes are stored as those dicts.
+
 When a :class:`~repro.obs.triggers.TriggerEngine` decides an incident
 happened, :meth:`FlightRecorder.dump_bundle` atomically writes a
 versioned *postmortem bundle* — ``events.jsonl`` (time-sorted records)
@@ -42,7 +51,7 @@ from datetime import datetime, timezone
 from typing import Any, Dict, List, Optional
 
 from repro.obs.manifest import git_sha
-from repro.obs.timeseries import RequestRecord, ServeBucket
+from repro.obs.timeseries import RequestRecord
 
 __all__ = [
     "BUNDLE_VERSION",
@@ -84,25 +93,95 @@ def _json_safe(value: Any) -> Any:
     return value
 
 
-def _bucket_row(bucket: ServeBucket) -> Dict[str, Any]:
-    """A closed bucket's counts, shed fractions by reason, sojourn and
-    queue-wait extremes, and worst per-request re-sum errors."""
-    completed = bucket.completed
-    events = completed + bucket.shed
+def _request_row(entry) -> Dict[str, Any]:
+    """A request entry ``(seq, t, record)`` as its bundle record."""
+    seq, t, record = entry
+    request = record.request
+    return {
+        "kind": "request",
+        "t": t,
+        "trace_id": record.trace_id,
+        "device_id": request.device_id,
+        "key": request.key,
+        "hit": record.hit,
+        "shared": record.shared,
+        "tier": record.tier,
+        "edge_node": record.edge_node,
+        "sojourn_s": record.sojourn_s,
+        "segments": record.segments,
+        "energy_j": record.energy_j,
+        "hop_err_s": record.hop_err_s,
+        "hop_err_j": record.hop_err_j,
+        "seq": seq,
+    }
+
+
+def _bucket_row(entry) -> Dict[str, Any]:
+    """A bucket entry (the values :meth:`FlightRecorder.on_tick` read)
+    as its bundle record: the closed bucket's counts, shed fractions by
+    reason, sojourn and queue-wait extremes, worst per-request re-sum
+    errors, and the energy-ledger totals with their deltas."""
+    (
+        seq, t, t_prev, completed, hits, shed, reasons, sojourn_total,
+        sojourn_max, queue_wait_max, hop_err_s_max, hop_err_j_max,
+        attributed, timeline, last_attributed, last_timeline, requests,
+    ) = entry
+    events = completed + shed
     return {
         "completed": completed,
-        "hits": bucket.hits,
-        "shed": bucket.shed,
-        "shed_reasons": dict(bucket.shed_reasons),
-        "shed_fraction": bucket.shed / events if events else 0.0,
-        "sojourn_mean_s": (
-            bucket.sojourn.total / completed if completed else None
-        ),
-        "sojourn_max_s": bucket.sojourn.max if completed else None,
-        "queue_wait_max_s": bucket.queue_wait.max if completed else None,
-        "hop_err_s_max": bucket.hop_err_s_max,
-        "hop_err_j_max": bucket.hop_err_j_max,
+        "hits": hits,
+        "shed": shed,
+        "shed_reasons": dict(reasons) if reasons else {},
+        "shed_fraction": shed / events if events else 0.0,
+        "sojourn_mean_s": sojourn_total / completed if completed else None,
+        "sojourn_max_s": sojourn_max if completed else None,
+        "queue_wait_max_s": queue_wait_max if completed else None,
+        "hop_err_s_max": hop_err_s_max,
+        "hop_err_j_max": hop_err_j_max,
+        "kind": "bucket",
+        "t": t,
+        "t_prev": t_prev,
+        "ledger": {
+            "attributed_j": attributed,
+            "timeline_j": timeline,
+            "d_attributed_j": attributed - last_attributed,
+            "d_timeline_j": timeline - last_timeline,
+            "error_j": attributed - timeline,
+            "requests": requests,
+        },
+        "seq": seq,
     }
+
+
+def _edge_row(entry) -> Dict[str, Any]:
+    """An edge entry ``(seq, t, stats)`` as its bundle record."""
+    seq, t, stats = entry
+    return {
+        "kind": "edge",
+        "t": t,
+        "sheds": stats.get("sheds", 0),
+        "community_hits": stats.get("community_hits", 0),
+        "community_misses": stats.get("community_misses", 0),
+        "origin_fetches": stats.get("origin_fetches", 0),
+        "nodes": stats.get("nodes", []),
+        "seq": seq,
+    }
+
+
+#: Builds the record of a compact ring entry, per ring.  Entries of the
+#: other rings (and any dict appended to these) are records already.
+_ROW_BUILDERS = {
+    "request": _request_row,
+    "bucket": _bucket_row,
+    "edge": _edge_row,
+}
+
+
+def _record(kind: str, entry) -> Dict[str, Any]:
+    """The bundle record of one ring entry."""
+    if isinstance(entry, dict):
+        return entry
+    return _ROW_BUILDERS[kind](entry)
 
 
 class FlightRecorder:
@@ -156,6 +235,9 @@ class FlightRecorder:
             "alert": deque(maxlen=alert_ring),
             "flush": deque(maxlen=flush_ring),
         }
+        self._requests = self._rings["request"]
+        self._buckets = self._rings["bucket"]
+        self._edges = self._rings["edge"]
         #: records ever seen per ring (len(ring) + evicted)
         self.seen: Dict[str, int] = {kind: 0 for kind in self._rings}
         self._seq = 0
@@ -185,27 +267,14 @@ class FlightRecorder:
     def on_response(self, t: float, record: RequestRecord) -> None:
         """Record one completed request (called by the telemetry plane
         with the request's :class:`~repro.obs.timeseries.RequestRecord`,
-        whose per-request re-sum errors the trigger engine watches)."""
-        entry = {
-            "kind": "request",
-            "t": t,
-            "trace_id": record.trace_id,
-            "device_id": record.request.device_id,
-            "key": record.request.key,
-            "hit": record.hit,
-            "shared": record.shared,
-            "tier": record.tier,
-            "edge_node": record.edge_node,
-            "sojourn_s": record.sojourn_s,
-            "segments": record.segments,
-            "energy_j": record.energy_j,
-            "hop_err_s": record.hop_err_s,
-            "hop_err_j": record.hop_err_j,
-        }
+        whose per-request re-sum errors the trigger engine watches).
+        The record is kept as is; its row is built when read."""
         with self._lock:
-            self._append("request", entry)
+            self._requests.append((self._seq, t, record))
+            self._seq += 1
+            self.seen["request"] += 1
         if self.triggers is not None:
-            self.triggers.on_response(t, entry, self)
+            self.triggers.on_response(t, record, self)
 
     def on_shed(self, t: float, reply) -> None:
         """Record one typed shed event (called by the telemetry plane)."""
@@ -238,42 +307,35 @@ class FlightRecorder:
             self.triggers.on_alerts(t, alerts, self)
 
     def on_tick(self, t: float, telemetry) -> None:
-        """Close the bucket that just ended: emit its row (read from the
-        telemetry ring, with the energy-ledger delta) and a
-        per-edge-node stats snapshot."""
+        """Close the bucket that just ended: keep the values of its row
+        (read from the telemetry ring, with the energy-ledger totals)
+        and the tick's per-edge-node stats snapshot."""
         ledger = telemetry.energy.ledger
         attributed, timeline = ledger.attributed_j, ledger.timeline_j
-        row = _bucket_row(telemetry.closing_bucket())
+        bucket = telemetry.closing_bucket()
+        reasons = bucket.shed_reasons
+        edge_stats_fn = getattr(telemetry, "edge_stats_fn", None)
         with self._lock:
-            row["kind"] = "bucket"
-            row["t"] = t
-            row["t_prev"] = self._last_tick_t
-            row["ledger"] = {
-                "attributed_j": attributed,
-                "timeline_j": timeline,
-                "d_attributed_j": attributed - self._last_ledger[0],
-                "d_timeline_j": timeline - self._last_ledger[1],
-                "error_j": ledger.conservation_error_j,
-                "requests": ledger.requests,
-            }
-            self._append("bucket", row)
+            last_attributed, last_timeline = self._last_ledger
+            self._buckets.append((
+                self._seq, t, self._last_tick_t, bucket.completed,
+                bucket.hits, bucket.shed, dict(reasons) if reasons else None,
+                bucket.sojourn.total, bucket.sojourn.max,
+                bucket.queue_wait.max, bucket.hop_err_s_max,
+                bucket.hop_err_j_max, attributed, timeline,
+                last_attributed, last_timeline, ledger.requests,
+            ))
+            self._seq += 1
+            self.seen["bucket"] += 1
             self._last_tick_t = t
             self._last_ledger = (attributed, timeline)
-            edge_stats_fn = getattr(telemetry, "edge_stats_fn", None)
             if edge_stats_fn is not None:
-                stats = edge_stats_fn()
-                self._append(
-                    "edge",
-                    {
-                        "kind": "edge",
-                        "t": t,
-                        "sheds": stats.get("sheds", 0),
-                        "community_hits": stats.get("community_hits", 0),
-                        "community_misses": stats.get("community_misses", 0),
-                        "origin_fetches": stats.get("origin_fetches", 0),
-                        "nodes": stats.get("nodes", []),
-                    },
-                )
+                # The snapshot is read-only: the tier builds a new one
+                # when a counter moves, so a reference keeps this tick's
+                # values.
+                self._edges.append((self._seq, t, edge_stats_fn()))
+                self._seq += 1
+                self.seen["edge"] += 1
         if self.triggers is not None:
             self.triggers.on_tick(t, self, telemetry)
 
@@ -300,11 +362,19 @@ class FlightRecorder:
 
     # -- read side -----------------------------------------------------------
 
+    def records(self, kind: Optional[str] = None) -> List[Dict[str, Any]]:
+        """The retained records of ring ``kind`` (every ring when None),
+        oldest first, as the dicts a bundle holds; built on each call."""
+        with self._lock:
+            return self._records_locked(
+                self._rings if kind is None else (kind,)
+            )
+
     def last_bucket(self) -> Optional[Dict[str, Any]]:
         """The most recently closed per-bucket row (None before any)."""
         with self._lock:
-            ring = self._rings["bucket"]
-            return ring[-1] if ring else None
+            ring = self._buckets
+            return _record("bucket", ring[-1]) if ring else None
 
     def dropped(self) -> Dict[str, int]:
         """Records evicted per ring since construction."""
@@ -349,9 +419,7 @@ class FlightRecorder:
         never sees a partial bundle.  Returns the bundle path.
         """
         with self._lock:
-            records: List[Any] = []
-            for ring in self._rings.values():
-                records.extend(ring)
+            records = self._records_locked(self._rings)
             dropped = {
                 kind: self.seen[kind] - len(ring)
                 for kind, ring in sorted(self._rings.items())
@@ -418,6 +486,15 @@ class FlightRecorder:
         self._seq += 1
         self.seen[kind] += 1
         self._rings[kind].append(record)
+
+    def _records_locked(self, kinds) -> List[Dict[str, Any]]:
+        """Records of the ``kinds`` rings, ring by ring (caller holds
+        the lock)."""
+        return [
+            _record(kind, entry)
+            for kind in kinds
+            for entry in self._rings[kind]
+        ]
 
     def record_trigger(self, record: Dict[str, Any]) -> None:
         """Stamp a trigger record's sequence number (the trigger engine

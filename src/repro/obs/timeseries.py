@@ -157,6 +157,11 @@ class _Series:
         return nearest_rank(sorted(self.kept), q)
 
 
+#: The one series every :class:`ServeBucket` field points at until its
+#: first value: it reads as empty, and is never added to.
+_EMPTY_SERIES = _Series()
+
+
 def window_quantile(series: Iterable[_Series], q: float) -> float:
     """Percentile ``q`` of one series over a window's buckets.
 
@@ -271,7 +276,12 @@ class RequestRecord:
 
 
 class ServeBucket:
-    """Every serve series of one bucket."""
+    """Every serve series of one bucket.
+
+    Most buckets see few completions, so a series is created on its
+    first value; until then the field is the shared empty series, which
+    answers every read as an empty series would.
+    """
 
     __slots__ = (
         "requests",
@@ -310,13 +320,13 @@ class ServeBucket:
         #: last in-flight count observed (None: never observed)
         self.inflight: Optional[float] = None
         self.inflight_max = -math.inf
-        self.sojourn = _Series()
-        self.queue_wait = _Series()
-        self.batch_wait = _Series()
-        self.service = _Series()
+        self.sojourn = _EMPTY_SERIES
+        self.queue_wait = _EMPTY_SERIES
+        self.batch_wait = _EMPTY_SERIES
+        self.service = _EMPTY_SERIES
         #: cloudlet time (edge_hop + edge_serve) of edge-path requests
-        self.edge_hop = _Series()
-        self.energy = _Series()
+        self.edge_hop = _EMPTY_SERIES
+        self.energy = _EMPTY_SERIES
         #: ``[count, joules]`` of hits and of misses
         self.hit_energy = [0, 0.0]
         self.miss_energy = [0, 0.0]
@@ -338,6 +348,12 @@ class ServeBucket:
     def add(self, record: RequestRecord) -> None:
         """Fold one completed request into every series."""
         seg = record.segments
+        if not self.completed:
+            # Every completion feeds these four series.
+            self.sojourn = _Series()
+            self.queue_wait = _Series()
+            self.batch_wait = _Series()
+            self.service = _Series()
         self.completed += 1
         if record.hit:
             self.hits += 1
@@ -353,9 +369,13 @@ class ServeBucket:
         self.service.add(seg["service"])
         edge_s = seg["edge_hop"] + seg["edge_serve"]
         if edge_s > 0:
+            if self.edge_hop is _EMPTY_SERIES:
+                self.edge_hop = _Series()
             self.edge_hop.add(edge_s)
         energy_j = record.energy_j
         if energy_j is not None:
+            if self.energy is _EMPTY_SERIES:
+                self.energy = _Series()
             self.energy.add(energy_j)
             side = self.hit_energy if record.hit else self.miss_energy
             side[0] += 1

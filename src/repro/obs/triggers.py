@@ -98,27 +98,29 @@ class TriggerEngine:
 
     # -- event hooks (called by FlightRecorder) ------------------------------
 
-    def on_response(self, t: float, record: Dict[str, Any], flight) -> None:
+    def on_response(self, t: float, record, flight) -> None:
+        """Check one completed request's re-sum errors (``record`` is its
+        :class:`~repro.obs.timeseries.RequestRecord`)."""
         cfg = self.config
         if (
             cfg.hop_resum_tol_s is not None
-            and record["hop_err_s"] > cfg.hop_resum_tol_s
+            and record.hop_err_s > cfg.hop_resum_tol_s
         ):
             self._fire(
                 t,
                 "hop-resum-error",
                 flight,
-                {"hop_err_s": record["hop_err_s"], "trace_id": record["trace_id"]},
+                {"hop_err_s": record.hop_err_s, "trace_id": record.trace_id},
             )
         elif (
             cfg.hop_resum_tol_j is not None
-            and record["hop_err_j"] > cfg.hop_resum_tol_j
+            and record.hop_err_j > cfg.hop_resum_tol_j
         ):
             self._fire(
                 t,
                 "hop-resum-error",
                 flight,
-                {"hop_err_j": record["hop_err_j"], "trace_id": record["trace_id"]},
+                {"hop_err_j": record.hop_err_j, "trace_id": record.trace_id},
             )
 
     def on_alerts(self, t: float, alerts, flight) -> None:
@@ -140,21 +142,21 @@ class TriggerEngine:
             self._manual_fired = True
             self._fire(t, "manual", flight, {"trigger_at": cfg.trigger_at})
         if cfg.shed_spike is not None:
-            row = flight.last_bucket()
-            if row is not None:
-                events = row["completed"] + row["shed"]
-                if (
-                    events >= cfg.shed_spike_min_events
-                    and row["shed_fraction"] >= cfg.shed_spike
-                ):
+            # The counts of the bucket this tick closes, as its row holds
+            # them.
+            bucket = telemetry.closing_bucket()
+            events = bucket.completed + bucket.shed
+            if events and events >= cfg.shed_spike_min_events:
+                fraction = bucket.shed / events
+                if fraction >= cfg.shed_spike:
                     self._fire(
                         t,
                         "shed-spike",
                         flight,
                         {
-                            "shed_fraction": row["shed_fraction"],
+                            "shed_fraction": fraction,
                             "events": events,
-                            "reasons": row["shed_reasons"],
+                            "reasons": dict(bucket.shed_reasons),
                         },
                     )
         if cfg.ledger_drift_j is not None:

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.pocketsearch.content import CacheContent, DEFAULT_RECORD_BYTES
 from repro.pocketsearch.database import ResultDatabase
-from repro.pocketsearch.hashtable import QueryHashTable, hash64
+from repro.pocketsearch.hashtable import Chain, QueryHashTable, hash64
 from repro.pocketsearch.ranking import PersonalizedRanker
 from repro.storage.device import shallow_copy
 from repro.storage.filesystem import FlashFilesystem
@@ -157,9 +157,10 @@ class PocketSearchCache:
 
     # -- service path ------------------------------------------------------------
 
-    def lookup(self, query: str) -> CacheLookup:
-        """Check the hash table for locally available results."""
-        results = self.hashtable.lookup(query)
+    def lookup(self, query: str, chain: Optional[Chain] = None) -> CacheLookup:
+        """Check the hash table for locally available results (``chain``:
+        the query's walk, when the caller has it)."""
+        results = self.hashtable.lookup(query, chain)
         hit = results is not None
         if hit:
             self.hits += 1
@@ -177,21 +178,26 @@ class PocketSearchCache:
         query: str,
         clicked_url: str,
         record_bytes: int = DEFAULT_RECORD_BYTES,
+        chain: Optional[Chain] = None,
     ) -> None:
         """Feed one user interaction to the personalization component.
 
         On a previously unseen pair this caches the query and result so
         the next submission is a hit; on a cached pair it applies the
         Equations (1)-(2) score updates.  No-op when personalization is
-        disabled (community-only mode).
+        disabled (community-only mode).  ``chain`` is the query's walk
+        from this request's lookup, when the caller has it; its chain-0
+        hash is the query's registry key.
         """
         if not self.personalization_enabled:
             return
         clicked_hash = hash64(clicked_url)
         if not self.database.contains(clicked_hash):
             self.database.add_result(clicked_url, record_bytes)
-        self.ranker.record_click(self.hashtable, query, clicked_hash)
-        self.query_registry[hash64(query)] = query
+        if chain is None:
+            chain = self.hashtable.chain(query)
+        self.ranker.record_click(self.hashtable, query, clicked_hash, chain)
+        self.query_registry[chain[0][0]] = query
 
     # -- stats -------------------------------------------------------------------
 

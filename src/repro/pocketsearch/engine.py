@@ -120,13 +120,18 @@ class PocketSearchEngine:
         tracer = get_tracer()
         with tracer.span("serve_query", timestamp=timestamp) as span:
             with tracer.span("cache_lookup"):
-                lookup = self.cache.lookup(query)
+                # One walk of the query's chain serves the lookup and the
+                # click's updates.
+                chain = self.cache.hashtable.chain(query)
+                lookup = self.cache.lookup(query, chain)
             if lookup.hit:
                 result = self._serve_hit(lookup, query, navigational, timestamp)
             else:
                 result = self._serve_miss(query, navigational, timestamp)
             with tracer.span("record_click"):
-                self.cache.record_click(query, clicked_url, record_bytes)
+                self.cache.record_click(
+                    query, clicked_url, record_bytes, chain
+                )
             if tracer.enabled:
                 span.set_attrs(
                     hit=result.outcome.hit,

@@ -75,6 +75,12 @@ class HashEntry:
         return word
 
 
+#: One walk of a query's chain (:meth:`QueryHashTable.chain`): the hash of
+#: every chain index up to and including the first missing one, and the
+#: entries found, in chain order.
+Chain = Tuple[List[int], List[HashEntry]]
+
+
 def entry_bytes(results_per_entry: int) -> int:
     """Modelled DRAM bytes of one entry with the given slot count."""
     if results_per_entry <= 0:
@@ -136,27 +142,35 @@ class QueryHashTable:
         """
         if not 0 <= score:
             raise ValueError(f"score must be non-negative, got {score}")
-        chain = 0
-        while True:
-            key = (hash64(query, chain), chain)
-            entry = self._entries.get(key)
-            if entry is None:
-                entry = HashEntry(
-                    query_hash=key[0], capacity=self.results_per_entry
-                )
-                self._entries[key] = entry
+        chain = self.chain(query)
+        for entry in chain[1]:
             for slot in entry.slots:
                 if slot.result_hash == result_hash:
                     slot.score = max(slot.score, score)
                     slot.accessed = slot.accessed or accessed
                     return
+        self.extend_chain(chain, result_hash, score, accessed)
+
+    def extend_chain(
+        self, chain: Chain, result_hash: int, score: float, accessed: bool
+    ) -> None:
+        """Add a pair that is not in the query's chain: the first entry
+        with a free slot takes it, or a new entry extends the chain.
+        ``chain`` is the query's current walk (:meth:`chain`), so no chain
+        key is hashed again."""
+        hashes, entries = chain
+        slot = _Slot(result_hash, score, accessed)
+        for entry in entries:
             if not entry.is_full:
-                entry.slots.append(_Slot(result_hash, score, accessed))
+                entry.slots.append(slot)
                 return
-            chain += 1
+        index = len(entries)
+        self._entries[(hashes[index], index)] = HashEntry(
+            hashes[index], self.results_per_entry, [slot]
+        )
 
     def set_score(self, query: str, result_hash: int, score: float) -> None:
-        """Overwrite a pair's score (used by the personalized ranker)."""
+        """Overwrite a pair's score."""
         slot = self._find_slot(query, result_hash)
         if slot is None:
             raise KeyError(f"pair ({query!r}, {result_hash}) not cached")
@@ -175,24 +189,12 @@ class QueryHashTable:
         Later chained slots are compacted into the freed position so
         lookups never see a gap.
         """
-        chain = 0
-        found = False
-        all_slots: List[_Slot] = []
-        keys = []
-        while True:
-            key = (hash64(query, chain), chain)
-            entry = self._entries.get(key)
-            if entry is None:
-                break
-            keys.append(key)
-            all_slots.extend(entry.slots)
-            chain += 1
-        if not keys:
-            return False
+        hashes, entries = self.chain(query)
+        all_slots = [s for entry in entries for s in entry.slots]
         kept = [s for s in all_slots if s.result_hash != result_hash]
-        found = len(kept) != len(all_slots)
-        if not found:
+        if len(kept) == len(all_slots):
             return False
+        keys = [(hashes[i], i) for i in range(len(entries))]
         self._rewrite_chain(keys, kept)
         return True
 
@@ -212,22 +214,40 @@ class QueryHashTable:
 
     # -- read path --------------------------------------------------------------
 
-    def lookup(self, query: str) -> Optional[List[Tuple[int, float]]]:
+    def chain(self, query: str) -> Chain:
+        """Walk the query's chain once, hashing each chain key once.
+
+        A caller that reads and then updates one query (the serve path's
+        lookup and click) walks once and passes the walk on; it stays
+        valid until the table changes.
+        """
+        hashes: List[int] = []
+        entries: List[HashEntry] = []
+        index = 0
+        while True:
+            query_hash = hash64(query, index)
+            hashes.append(query_hash)
+            entry = self._entries.get((query_hash, index))
+            if entry is None:
+                return hashes, entries
+            entries.append(entry)
+            index += 1
+
+    def lookup(
+        self, query: str, chain: Optional[Chain] = None
+    ) -> Optional[List[Tuple[int, float]]]:
         """All (result hash, score) pairs for a query, descending score.
 
         Returns ``None`` on a cache miss.  The walk follows chained
-        entries until a missing chain index.
+        entries until a missing chain index; ``chain`` is that walk when
+        the caller already has it.
         """
         self.total_lookups += 1
-        results: List[Tuple[int, float]] = []
-        chain = 0
-        while True:
-            key = (hash64(query, chain), chain)
-            entry = self._entries.get(key)
-            if entry is None:
-                break
-            results.extend((s.result_hash, s.score) for s in entry.slots)
-            chain += 1
+        if chain is None:
+            chain = self.chain(query)
+        results = [
+            (s.result_hash, s.score) for entry in chain[1] for s in entry.slots
+        ]
         if not results:
             return None
         return sorted(results, key=lambda rs: rs[1], reverse=True)
@@ -239,28 +259,18 @@ class QueryHashTable:
 
     def slots_for(self, query: str) -> List[Tuple[int, float, bool]]:
         """(result hash, score, accessed) per slot, in chain order."""
-        out = []
-        chain = 0
-        while True:
-            key = (hash64(query, chain), chain)
-            entry = self._entries.get(key)
-            if entry is None:
-                break
-            out.extend((s.result_hash, s.score, s.accessed) for s in entry.slots)
-            chain += 1
-        return out
+        return [
+            (s.result_hash, s.score, s.accessed)
+            for entry in self.chain(query)[1]
+            for s in entry.slots
+        ]
 
     def _find_slot(self, query: str, result_hash: int) -> Optional[_Slot]:
-        chain = 0
-        while True:
-            key = (hash64(query, chain), chain)
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
+        for entry in self.chain(query)[1]:
             for slot in entry.slots:
                 if slot.result_hash == result_hash:
                     return slot
-            chain += 1
+        return None
 
     # -- footprint ----------------------------------------------------------------
 

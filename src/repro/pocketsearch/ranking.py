@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.pocketsearch.hashtable import QueryHashTable
+from repro.pocketsearch.hashtable import Chain, QueryHashTable
 
 
 @dataclass(frozen=True)
@@ -37,27 +38,35 @@ class PersonalizedRanker:
             )
 
     def record_click(
-        self, table: QueryHashTable, query: str, clicked_result_hash: int
+        self,
+        table: QueryHashTable,
+        query: str,
+        clicked_result_hash: int,
+        chain: Optional[Chain] = None,
     ) -> None:
         """Apply Equations (1)-(2) after a click on a cached query.
 
         If the clicked result is not yet linked to the query (a click
         following a cache miss), a new pair is inserted with score 1, as
-        Section 5.3 specifies.
+        Section 5.3 specifies.  Every update happens in one walk of the
+        query's chain: ``chain`` when the caller already walked it
+        (:meth:`QueryHashTable.chain`), else a walk made here.
         """
-        slots = table.slots_for(query)
-        clicked_present = any(h == clicked_result_hash for h, _, _ in slots)
-        for result_hash, score, _ in slots:
-            if result_hash == clicked_result_hash:
-                table.set_score(query, result_hash, score + 1.0)
-            else:
-                table.set_score(
-                    query, result_hash, score * math.exp(-self.decay_lambda)
-                )
-        if not clicked_present:
-            table.insert(query, clicked_result_hash, 1.0, accessed=True)
+        if chain is None:
+            chain = table.chain(query)
+        decay = math.exp(-self.decay_lambda)
+        clicked = None
+        for entry in chain[1]:
+            for slot in entry.slots:
+                if slot.result_hash == clicked_result_hash:
+                    slot.score = slot.score + 1.0
+                    clicked = slot
+                else:
+                    slot.score = slot.score * decay
+        if clicked is None:
+            table.extend_chain(chain, clicked_result_hash, 1.0, accessed=True)
         else:
-            table.mark_accessed(query, clicked_result_hash)
+            clicked.accessed = True
 
     def decayed_score(self, score: float, idle_updates: int) -> float:
         """Score after ``idle_updates`` unselected updates (closed form)."""

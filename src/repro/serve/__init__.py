@@ -29,6 +29,7 @@ service:
 """
 
 from repro.serve.backends import (
+    BackendError,
     BackendResult,
     DailyUpdateBackend,
     DeviceBackend,
@@ -54,6 +55,7 @@ from repro.serve.telemetry import ServeTelemetry
 from repro.serve.vclock import VirtualTimeLoop, run_simulated
 
 __all__ = [
+    "BackendError",
     "BackendResult",
     "CloudletServer",
     "DailyUpdateBackend",

@@ -31,12 +31,32 @@ from repro.sim.replay import DAY_SECONDS
 from repro.serve.requests import ServeRequest
 
 __all__ = [
+    "BackendError",
     "BackendResult",
     "DeviceBackend",
     "SearchBackend",
     "DailyUpdateBackend",
     "WebBackend",
 ]
+
+
+class BackendError(Exception):
+    """A device backend raised while serving ``request``.
+
+    The server resolves that request's future with this error, chained
+    to the backend's exception (``__cause__``), and the device's session
+    serves its later requests.
+    """
+
+    def __init__(self, request: ServeRequest) -> None:
+        super().__init__(request)
+        self.request = request
+
+    def __str__(self) -> str:
+        return (
+            f"device {self.request.device_id}'s backend failed on "
+            f"{self.request.key!r}"
+        )
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ held to.
 ``run_loadtest`` drives a server with a :mod:`repro.serve.loadgen`
 workload (typically at a deliberate overload) and reports how the
 admission control held up.
+
+Both submit open loop: each arrival is submitted from a loop timer set
+for its offset, then the harness drains the server and collects every
+reply.  A request that failed raises its error out of the run.
 """
 
 from __future__ import annotations
@@ -330,20 +334,58 @@ async def _submit_schedule(
     """Submit requests at their scheduled offsets; gather all replies.
 
     Open-loop: submission timing depends only on the schedule, never on
-    how fast the server answers.
+    how fast the server answers.  Each arrival is submitted from a loop
+    timer (``call_later``) set for ``origin + offset``, so an arrival
+    costs one loop turn and no task wake-up; arrivals already due are
+    submitted in the same callback.  An exception from ``submit`` or
+    from a request's backend propagates, and cancelling the caller
+    cancels the pending arrival timer.
     """
     import asyncio
 
     loop = asyncio.get_running_loop()
     origin = loop.time()
-    futures = []
-    for offset, request in schedule:
-        delay = origin + offset - loop.time()
-        if delay > 0:
-            await asyncio.sleep(delay)
-        futures.append(server.submit(request))
+    futures: List["asyncio.Future"] = []
+    arrivals = iter(schedule)
+    submitted = loop.create_future()
+    timer: Optional["asyncio.TimerHandle"] = None
+
+    def submit_due(request: Optional[ServeRequest] = None) -> None:
+        nonlocal timer
+        try:
+            if request is not None:
+                futures.append(server.submit(request))
+            for offset, request in arrivals:
+                delay = origin + offset - loop.time()
+                if delay > 0:
+                    timer = loop.call_later(delay, submit_due, request)
+                    return
+                futures.append(server.submit(request))
+        except Exception as exc:
+            if submitted.done():
+                # Nobody awaits the schedule any more: the loop's
+                # exception handler reports it.
+                raise
+            submitted.set_exception(exc)
+            return
+        if not submitted.done():
+            submitted.set_result(None)
+
+    submit_due()
+    try:
+        await submitted
+    finally:
+        if timer is not None:
+            timer.cancel()
     await server.drain()
-    return [f.result() for f in futures]
+    try:
+        return [f.result() for f in futures]
+    except Exception:
+        # Mark every failed request's exception retrieved; raise the
+        # first.
+        for f in futures:
+            f.exception()
+        raise
 
 
 async def run_workload(server: CloudletServer, workload: Workload) -> ServeReport:

@@ -14,6 +14,13 @@ A rejected request costs O(1) work and resolves immediately with the
 typed shed response, so an overloaded server stays responsive and its
 memory stays bounded no matter the offered load.
 
+A backend that raises fails only the request it was serving: that
+request's future raises :class:`~repro.serve.backends.BackendError`
+(chained to the backend's exception) and the session goes on with the
+device's next request.  The server keeps a count of admitted requests in
+flight, not a set of their futures; :meth:`CloudletServer.drain` waits
+for that count to reach zero.
+
 Cache misses go through the shared :class:`~repro.serve.batcher.MissBatcher`
 so concurrent identical fetches ride one simulated radio round trip.
 
@@ -33,12 +40,12 @@ from __future__ import annotations
 import asyncio
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional
 
 from repro.obs.energy import EnergyBreakdown
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.trace import TraceContext, get_tracer
-from repro.serve.backends import DeviceBackend
+from repro.serve.backends import BackendError, DeviceBackend
 from repro.serve.batcher import MissBatcher
 from repro.serve.requests import Overloaded, ServeRequest, ServeResponse
 from repro.serve.telemetry import ServeTelemetry
@@ -152,7 +159,9 @@ class CloudletServer:
         self._trace_ids = itertools.count(1)
         self._sessions: Dict[int, _DeviceSession] = {}
         self._inflight = 0
-        self._pending: Set["asyncio.Future"] = set()
+        #: resolved when the in-flight count next reaches zero (created
+        #: by the first :meth:`drain` that has to wait)
+        self._idle: Optional["asyncio.Future"] = None
         self._refresh_task: Optional["asyncio.Task"] = None
         self._closed = False
 
@@ -165,9 +174,25 @@ class CloudletServer:
             self._refresh_task = loop.create_task(self._refresh_loop())
 
     async def drain(self) -> None:
-        """Wait until every admitted request has completed."""
-        while self._pending:
-            await asyncio.gather(*list(self._pending), return_exceptions=True)
+        """Wait until every admitted request has completed.
+
+        Returns at once when nothing is in flight.  Otherwise every
+        waiting drain shares one future, resolved when the in-flight
+        count reaches zero; each waits through a shield, so cancelling
+        one drain leaves the others waiting.
+        """
+        if self._inflight:
+            if self._idle is None:
+                self._idle = asyncio.get_running_loop().create_future()
+            await asyncio.shield(self._idle)
+
+    def _release(self) -> None:
+        """One admitted request left flight (completed, shed on the edge
+        hop or failed); wake the drains when none remain."""
+        self._inflight -= 1
+        if not self._inflight and self._idle is not None:
+            idle, self._idle = self._idle, None
+            idle.set_result(None)
 
     async def close(self) -> None:
         """Cancel workers and the refresher; pending work is abandoned."""
@@ -224,8 +249,6 @@ class CloudletServer:
         self._metric("counter", "serve.admitted").inc()
         self._metric("gauge", "serve.inflight_peak").max(self._inflight)
         self.telemetry.on_submit(now, self._inflight)
-        self._pending.add(future)
-        future.add_done_callback(self._pending.discard)
         return future
 
     def _shed(
@@ -260,17 +283,29 @@ class CloudletServer:
             enqueued_at = trace.marks[0][1]
             started_at = loop.time()
             trace.mark("queue_wait", started_at)
-            async with session.lock:
-                with tracer.span(
-                    "serve_request",
-                    device_id=session.device_id,
-                    key=request.key,
-                    trace_id=trace.trace_id,
-                ):
-                    result = session.backend.serve(request)
-            # Dequeue-to-here is time spent waiting out a session
-            # refresh holding the lock (the backend itself is sync model
-            # code: zero loop-clock time under the virtual clock).
+            try:
+                async with session.lock:
+                    with tracer.span(
+                        "serve_request",
+                        device_id=session.device_id,
+                        key=request.key,
+                        trace_id=trace.trace_id,
+                    ):
+                        try:
+                            result = session.backend.serve(request)
+                        except Exception as exc:
+                            raise BackendError(request) from exc
+            except BackendError as exc:
+                # The request raises it; the session serves on.
+                self._metric("counter", "serve.errors").inc()
+                self._release()
+                if not future.done():
+                    future.set_exception(exc)
+                session.queue.task_done()
+                continue
+            # Dequeue-to-here is time spent waiting out a session refresh
+            # holding the lock (the backend itself is sync model code:
+            # zero loop-clock time under the virtual clock).
             trace.mark("refresh_blocked", loop.time())
             if result.annotations:
                 trace.annotate(**result.annotations)
@@ -305,7 +340,7 @@ class CloudletServer:
                         # The device-side model state already advanced
                         # (the backend served the local miss); the shed
                         # accounts the refused community fetch.
-                        self._inflight -= 1
+                        self._release()
                         self._shed(
                             future,
                             request,
@@ -366,7 +401,7 @@ class CloudletServer:
                 edge_node=edge_node,
             )
             self._record(response)
-            self._inflight -= 1
+            self._release()
             self.telemetry.on_response(completed_at, response, self._inflight)
             if not future.done():
                 future.set_result(response)

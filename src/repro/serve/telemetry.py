@@ -89,7 +89,8 @@ class ServeTelemetry:
         #: zero-arg edge-tier stats thunk (``EdgeTier.stats``), wired by
         #: the server when a cloudlet tier is configured — feeds the
         #: per-node Prometheus samples and the flight recorder's
-        #: per-tick edge snapshots.
+        #: per-tick edge snapshots.  The recorder keeps the returned
+        #: dict by reference, so it must never change once returned.
         self.edge_stats_fn: Optional[Callable[[], Dict[str, Any]]] = None
         #: the bucket the latest events landed in
         self._bucket: Optional[int] = None

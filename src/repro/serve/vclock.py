@@ -12,6 +12,9 @@ The serving layer runs in two clocks:
 The virtual loop is a :class:`asyncio.SelectorEventLoop` whose selector
 never blocks: whenever the loop would have slept ``timeout`` seconds
 waiting for timers, the virtual clock advances by ``timeout`` instead.
+Only those clock-advancing turns poll the real selector (without
+blocking, so the self-pipe that ``call_soon_threadsafe`` writes to
+drains); a turn that only runs ready callbacks makes no system call.
 Everything else — task scheduling, callback ordering, cancellation — is
 the standard asyncio machinery, so server code cannot tell which clock
 it is running under.
@@ -62,9 +65,10 @@ class VirtualTimeLoop(asyncio.SelectorEventLoop):
             )
         if timeout > 0:
             self._virtual_now += timeout
-        # Poll the real selector without blocking so self-pipe events
-        # (e.g. call_soon_threadsafe) still drain.
-        return self._wall_select(0)
+            # Poll without blocking so self-pipe bytes
+            # (call_soon_threadsafe) drain.
+            return self._wall_select(0)
+        return []
 
 
 def run_simulated(coro: Coroutine[Any, Any, T]) -> T:

@@ -19,7 +19,7 @@ own logical content in memory structures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.storage.device import AccessResult, shallow_copy
 from repro.storage.flash import NandFlash
@@ -144,8 +144,7 @@ class FlashFilesystem:
         pages = self.flash.geometry.pages_for(size_bytes)
         self._reserve(pages)
         self._files[name] = _FileEntry(name, size_bytes, pages)
-        cost = self.flash.program_pages(pages)
-        return self._with_open_cost(cost)
+        return self._with_open_cost(self.flash.program_cost(pages))
 
     def append(self, name: str, nbytes: int) -> AccessResult:
         """Append ``nbytes`` to a file, programming tail pages as needed.
@@ -166,8 +165,7 @@ class FlashFilesystem:
         pages_to_program = max(extra_pages, 0) + tail_partial
         entry.size_bytes = new_size
         entry.pages_allocated = new_pages
-        cost = self.flash.program_pages(pages_to_program)
-        return self._with_open_cost(cost)
+        return self._with_open_cost(self.flash.program_cost(pages_to_program))
 
     def read(
         self, name: str, offset: int = 0, length: Optional[int] = None
@@ -196,8 +194,7 @@ class FlashFilesystem:
             first_page = offset // geometry.page_bytes
             last_page = (offset + length - 1) // geometry.page_bytes
             pages = last_page - first_page + 1
-        cost = self.flash.read_pages(pages)
-        return self._with_open_cost(cost)
+        return self._with_open_cost(self.flash.read_cost(pages))
 
     def delete(self, name: str) -> None:
         """Delete a file and release its pages."""
@@ -234,9 +231,12 @@ class FlashFilesystem:
             )
         self._pages_used += pages
 
-    def _with_open_cost(self, cost: AccessResult) -> AccessResult:
+    def _with_open_cost(self, cost: Tuple[float, float, int]) -> AccessResult:
+        """The one result of an operation: the flash cost ``(latency_s,
+        energy_j, bytes_moved)`` plus the file open."""
+        latency, energy, nbytes = cost
         return AccessResult(
-            latency_s=cost.latency_s + self.open_overhead_s,
-            energy_j=cost.energy_j + self.open_energy_j,
-            bytes_moved=cost.bytes_moved,
+            latency_s=latency + self.open_overhead_s,
+            energy_j=energy + self.open_energy_j,
+            bytes_moved=nbytes,
         )

@@ -15,6 +15,7 @@ paper's experiments depend on:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Tuple
 
 from repro.obs.trace import get_tracer
 from repro.storage.device import AccessResult, MemoryDevice, shallow_copy
@@ -121,21 +122,32 @@ class NandFlash(MemoryDevice):
 
     def read_pages(self, npages: int) -> AccessResult:
         """Read ``npages`` whole pages (command + transfer cost)."""
+        return AccessResult(*self.read_cost(npages))
+
+    def program_pages(self, npages: int) -> AccessResult:
+        """Program ``npages`` whole pages (command + transfer cost)."""
+        return AccessResult(*self.program_cost(npages))
+
+    def read_cost(self, npages: int) -> Tuple[float, float, int]:
+        """:meth:`read_pages` as ``(latency_s, energy_j, bytes_moved)``,
+        for a caller that folds the cost into a result of its own."""
         self._check_pages(npages)
         nbytes = npages * self.geometry.page_bytes
         latency = npages * self.read_page_s + nbytes / self.read_bandwidth_bps
         energy = npages * self.read_page_energy_j + nbytes * self.energy_per_byte_j
         self.stats.page_reads += npages
-        return self._log(latency, energy, nbytes, reads=1, bytes_read=nbytes)
+        self._log(latency, energy, nbytes, reads=1, bytes_read=nbytes)
+        return latency, energy, nbytes
 
-    def program_pages(self, npages: int) -> AccessResult:
-        """Program ``npages`` whole pages (command + transfer cost)."""
+    def program_cost(self, npages: int) -> Tuple[float, float, int]:
+        """:meth:`program_pages` as ``(latency_s, energy_j, bytes_moved)``."""
         self._check_pages(npages)
         nbytes = npages * self.geometry.page_bytes
         latency = npages * self.program_page_s + nbytes / self.write_bandwidth_bps
         energy = npages * self.program_page_energy_j + nbytes * self.energy_per_byte_j
         self.stats.page_programs += npages
-        return self._log(latency, energy, nbytes, writes=1, bytes_written=nbytes)
+        self._log(latency, energy, nbytes, writes=1, bytes_written=nbytes)
+        return latency, energy, nbytes
 
     def erase_blocks(self, nblocks: int) -> AccessResult:
         """Erase ``nblocks`` erase blocks."""
@@ -143,7 +155,8 @@ class NandFlash(MemoryDevice):
         latency = nblocks * self.erase_block_s
         energy = nblocks * self.erase_block_energy_j
         self.stats.block_erases += nblocks
-        return self._log(latency, energy, 0)
+        self._log(latency, energy, 0)
+        return AccessResult(latency_s=latency, energy_j=energy, bytes_moved=0)
 
     def _check_pages(self, n: int) -> None:
         if n < 0:
@@ -158,7 +171,7 @@ class NandFlash(MemoryDevice):
         writes: int = 0,
         bytes_read: int = 0,
         bytes_written: int = 0,
-    ) -> AccessResult:
+    ) -> None:
         self.total_time_s += latency
         self.total_energy_j += energy
         self.total_reads += reads
@@ -175,4 +188,3 @@ class NandFlash(MemoryDevice):
                 model_latency_s=latency,
                 model_energy_j=energy,
             )
-        return AccessResult(latency_s=latency, energy_j=energy, bytes_moved=nbytes)

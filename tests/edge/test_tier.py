@@ -7,6 +7,7 @@ all accounting.
 """
 
 import asyncio
+import copy
 
 import pytest
 from hypothesis import given, settings
@@ -326,3 +327,29 @@ class TestOfflineEvaluator:
         assert hit_rates_monotone(results), [
             (r.node_capacity, r.community_hit_rate) for r in results
         ]
+
+
+class TestSnapshotsNeverChange:
+    """The flight recorder keeps ``stats()`` snapshots by reference, so a
+    snapshot, once returned, must keep its values as counters move."""
+
+    def test_earlier_snapshots_keep_their_values(self):
+        async def scenario():
+            tier = EdgeTier(
+                EdgeTopology(n_nodes=3, propagation_interval_s=1.0)
+            )
+            tier.seed_from_scores([("warm", 1.0)])
+            taken = []
+            for device, key in enumerate(["warm", "a", "b", "a", "c"]):
+                snapshot = tier.stats()
+                taken.append((snapshot, copy.deepcopy(snapshot)))
+                await tier.fetch(key, device, radio_s=0.5, scale=1.0)
+                await asyncio.sleep(2.0)
+            tier.flush_all()
+            taken.append((tier.stats(), copy.deepcopy(tier.stats())))
+            return taken
+
+        taken = run_simulated(scenario())
+        assert all(snapshot == kept for snapshot, kept in taken)
+        # Every fetch moved a counter, so every snapshot differs.
+        assert len({repr(kept) for _, kept in taken}) == len(taken)

@@ -49,3 +49,35 @@ class TestMemoization:
     def test_content_covers_operating_point(self):
         content = default_content()
         assert content.coverage == pytest.approx(0.55, abs=0.02)
+
+
+class TestOneContentMemo:
+    def test_default_content_and_replay_share_one_build(self, monkeypatch):
+        # Both the experiments' default content and a replay's
+        # build-month content are month 0 of the default log, mined
+        # once per process.
+        import repro.experiments.common as common
+        import repro.sim.replay as replay
+        from repro.sim import vectorized
+        from repro.sim.replay import CacheMode, ReplayConfig, run_replay
+
+        builds = []
+        for module in (common, replay):
+            build = getattr(module, "build_cache_content", None)
+            if build is None:
+                continue
+
+            def counting(log, policy, _build=build):
+                builds.append(log)
+                return _build(log, policy)
+
+            monkeypatch.setattr(module, "build_cache_content", counting)
+        vectorized.clear_caches()
+        content = default_content()
+        run_replay(
+            default_log(),
+            ReplayConfig(users_per_class=2),
+            modes=(CacheMode.FULL,),
+        )
+        assert len(builds) == 1
+        assert default_content() is content

@@ -129,7 +129,7 @@ class TestBucketRows:
         telemetry.on_response(0.2, make_response(0.2), inflight=1)
         telemetry.on_response(1.2, make_response(1.2), inflight=1)
         telemetry.on_response(2.2, make_response(2.2), inflight=1)
-        rows = [r for r in flight._rings["bucket"]]
+        rows = flight.records("bucket")
         assert [r["completed"] for r in rows] == [1, 1]
         assert rows[1]["t_prev"] == rows[0]["t"]
 
@@ -353,9 +353,7 @@ class TestFlightConcurrencyHammer:
         assert status["retained"]["request"] == 1024
         assert status["retained"]["shed"] == 1024
         # Sequence numbers are unique across all retained records.
-        seqs = [
-            r["seq"] for ring in flight._rings.values() for r in ring
-        ]
+        seqs = [r["seq"] for r in flight.records()]
         assert len(seqs) == len(set(seqs))
 
     def test_dump_while_recording(self, tmp_path):

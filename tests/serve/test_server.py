@@ -4,12 +4,15 @@ import asyncio
 
 import pytest
 
+from repro.edge.tier import EdgeTier, EdgeTopology
 from repro.obs.registry import MetricsRegistry
 from repro.pocketsearch.cache import PocketSearchCache
 from repro.pocketsearch.content import CacheContent, CacheEntry
 from repro.pocketsearch.engine import PocketSearchEngine
 from repro.pocketsearch.manager import CacheUpdateServer
-from repro.serve.backends import BackendResult, SearchBackend
+from repro.serve.backends import BackendError, BackendResult, SearchBackend
+from repro.serve.harness import run_loadtest, run_workload
+from repro.serve.loadgen import LoadGenConfig, Workload
 from repro.serve.requests import Overloaded, ServeRequest, ServeResponse
 from repro.serve.server import CloudletServer, ServeConfig
 from repro.serve.vclock import run_simulated
@@ -364,3 +367,201 @@ class TestBackgroundRefresh:
         backend = run_simulated(scenario())
         assert backend.served  # traffic actually flowed
         assert backend.refreshed_during_serve is False
+
+
+class TestDrain:
+    def test_returns_when_nothing_was_admitted(self):
+        async def scenario():
+            server = CloudletServer(
+                lambda uid: StubBackend(), registry=MetricsRegistry()
+            )
+            await asyncio.wait_for(server.drain(), timeout=1.0)
+            loop = asyncio.get_running_loop()
+            await server.close()
+            return loop.time(), server.inflight
+
+        assert run_simulated(scenario()) == (0.0, 0)
+
+    def test_returns_after_an_edge_queue_full_shed(self):
+        async def scenario():
+            server = CloudletServer(
+                lambda uid: StubBackend(),
+                registry=MetricsRegistry(),
+                edge=EdgeTier(EdgeTopology(n_nodes=1, node_max_inflight=1)),
+            )
+            # Two devices miss on one key at once: the second finds the
+            # node's one fetch slot taken and is shed after admission.
+            futures = [
+                server.submit(_request(device_id=uid, key="k"))
+                for uid in (1, 2)
+            ]
+            await asyncio.wait_for(server.drain(), timeout=60.0)
+            inflight = server.inflight
+            await server.close()
+            return [f.result() for f in futures], inflight
+
+        replies, inflight = run_simulated(scenario())
+        assert isinstance(replies[0], ServeResponse)
+        assert isinstance(replies[1], Overloaded)
+        assert replies[1].reason == "edge-queue-full"
+        assert inflight == 0
+
+
+class FailingBackend(StubBackend):
+    """A stub that raises on its ``fail_at``-th request (1-based)."""
+
+    def __init__(self, fail_at=2, **kwargs):
+        super().__init__(**kwargs)
+        self.fail_at = fail_at
+        self.calls = 0
+
+    def serve(self, request: ServeRequest) -> BackendResult:
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise ValueError(f"backend failed on {request.key!r}")
+        return super().serve(request)
+
+
+class TestBackendErrors:
+    """A backend exception fails its own request, and only that one: the
+    request raises a :class:`BackendError` chained to it."""
+
+    KEYS = ("a", "b", "c")
+
+    @staticmethod
+    def _server(time_scale):
+        return CloudletServer(
+            lambda uid: FailingBackend(cached={"a", "b", "c"}),
+            ServeConfig(time_scale=time_scale),
+            registry=MetricsRegistry(),
+        )
+
+    async def _serve_three(self, time_scale):
+        server = self._server(time_scale)
+        futures = [server.submit(_request(key=k)) for k in self.KEYS]
+        await asyncio.wait_for(server.drain(), timeout=10.0)
+        inflight = server.inflight
+        outcomes = [
+            "{}({})".format(
+                type(f.exception()).__name__,
+                type(f.exception().__cause__).__name__,
+            )
+            if f.exception() is not None
+            else f.result().request.key
+            for f in futures
+        ]
+        completed = server.registry.counter("serve.completed").value
+        await server.close()
+        return outcomes, inflight, completed
+
+    def _check(self, result):
+        outcomes, inflight, completed = result
+        # The failed request raises; the device's later request is still
+        # served, and nothing stays in flight.
+        assert outcomes == ["a", "BackendError(ValueError)", "c"]
+        assert inflight == 0
+        assert completed == 2
+
+    def test_virtual_clock(self):
+        self._check(run_simulated(self._serve_three(1.0)))
+
+    def test_wall_clock(self):
+        self._check(asyncio.run(self._serve_three(0.001)))
+
+    def _workload(self):
+        return Workload(
+            arrivals=[
+                (0.01 * i, _request(key=k)) for i, k in enumerate(self.KEYS)
+            ],
+            duration_s=1.0,
+        )
+
+    def test_run_workload_raises_it_on_the_virtual_clock(self):
+        server = self._server(1.0)
+        with pytest.raises(BackendError, match="'b'") as raised:
+            run_simulated(
+                asyncio.wait_for(
+                    run_workload(server, self._workload()), timeout=60.0
+                )
+            )
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert server.inflight == 0
+
+    def test_run_workload_raises_it_on_the_wall_clock(self):
+        server = self._server(0.001)
+        with pytest.raises(BackendError, match="'b'") as raised:
+            asyncio.run(
+                asyncio.wait_for(
+                    run_workload(server, self._workload()), timeout=10.0
+                )
+            )
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert server.inflight == 0
+
+    def test_run_loadtest_raises_it(self, small_log, monkeypatch):
+        serve = SearchBackend.serve
+        calls = []
+
+        def failing_serve(self, request):
+            calls.append(request.key)
+            if len(calls) == 3:
+                raise ValueError(f"backend failed on {request.key!r}")
+            return serve(self, request)
+
+        monkeypatch.setattr(SearchBackend, "serve", failing_serve)
+        with pytest.raises(BackendError) as raised:
+            run_loadtest(
+                small_log,
+                LoadGenConfig(duration_s=60.0, rate_multiplier=200.0, seed=3),
+            )
+        assert isinstance(raised.value.__cause__, ValueError)
+        assert raised.value.request.key == calls[2]
+        # The run went on serving after the failure.
+        assert len(calls) > 3
+
+
+class TestCancellation:
+    def test_cancelling_run_workload_cancels_the_next_arrival(self):
+        async def scenario():
+            backends = []
+
+            def factory(uid):
+                backends.append(StubBackend(cached={"a", "b"}))
+                return backends[-1]
+
+            server = CloudletServer(factory, registry=MetricsRegistry())
+            workload = Workload(
+                arrivals=[(0.0, _request(key="a")), (100.0, _request(key="b"))],
+                duration_s=200.0,
+            )
+            task = asyncio.ensure_future(run_workload(server, workload))
+            await asyncio.sleep(10.0)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            # Well past the second arrival: it was never submitted.
+            await asyncio.sleep(500.0)
+            return [key for b in backends for key in b.served]
+
+        assert run_simulated(scenario()) == ["a"]
+
+
+class TestArrivals:
+    def test_a_submit_exception_propagates_out_of_run_workload(self):
+        def factory(uid):
+            if uid == 2:
+                raise LookupError("no backend for device 2")
+            return StubBackend(cached={"a"})
+
+        server = CloudletServer(factory, registry=MetricsRegistry())
+        workload = Workload(
+            arrivals=[
+                (0.0, _request(device_id=1, key="a")),
+                (5.0, _request(device_id=2, key="a")),
+            ],
+            duration_s=10.0,
+        )
+        with pytest.raises(LookupError, match="device 2"):
+            run_simulated(
+                asyncio.wait_for(run_workload(server, workload), timeout=60.0)
+            )

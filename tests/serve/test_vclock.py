@@ -1,6 +1,8 @@
 """Tests for the deterministic simulated-time event loop."""
 
 import asyncio
+import select
+import threading
 import time
 
 import pytest
@@ -91,3 +93,50 @@ class TestVirtualTime:
         run_simulated(scenario())
         assert isinstance(loop_holder["loop"], VirtualTimeLoop)
         assert loop_holder["loop"].is_closed()
+
+
+class TestSelectorPolling:
+    def test_threadsafe_callback_runs_and_self_pipe_drains(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            ran = []
+            thread = threading.Thread(
+                target=loop.call_soon_threadsafe, args=(ran.append, "x")
+            )
+            thread.start()
+            thread.join()
+            # The callback is already queued: the next turn runs it.
+            await asyncio.sleep(0)
+            ran_before_advance = list(ran)
+            # A turn that advances the clock polls the real selector,
+            # which reads the wake-up byte out of the self-pipe.
+            await asyncio.sleep(1.0)
+            readable, _, _ = select.select([loop._ssock], [], [], 0)
+            return ran_before_advance, readable, loop.time()
+
+        ran, readable, now = run_simulated(scenario())
+        assert ran == ["x"]
+        assert readable == []
+        assert now == 1.0
+
+    def test_only_clock_advancing_turns_poll_the_selector(self):
+        loop = VirtualTimeLoop()
+        polls = []
+        wall_select = loop._wall_select
+
+        def counting(timeout):
+            polls.append(timeout)
+            return wall_select(timeout)
+
+        loop._wall_select = counting
+
+        async def scenario():
+            for _ in range(5):
+                await asyncio.sleep(0)  # turns that only run callbacks
+            await asyncio.sleep(2.0)  # the one turn that advances time
+
+        try:
+            loop.run_until_complete(scenario())
+        finally:
+            loop.close()
+        assert polls == [0]
