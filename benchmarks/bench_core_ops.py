@@ -57,7 +57,7 @@ def test_database_fetch_throughput(benchmark):
 
 def test_cache_lookup_throughput(benchmark):
     cache = PocketSearchCache.from_content(default_content())
-    queries = list(cache.query_registry.values())[:256]
+    queries = cache.hashtable.queries()[:256]
 
     def lookup_all():
         for query in queries:
@@ -79,7 +79,7 @@ def test_suggest_completion_throughput(benchmark):
 
     cache = PocketSearchCache.from_content(default_content())
     index = SuggestIndex(cache)
-    prefixes = [q[:3] for q in list(cache.query_registry.values())[:128]]
+    prefixes = [q[:3] for q in cache.hashtable.queries()[:128]]
 
     def complete_all():
         for prefix in prefixes:

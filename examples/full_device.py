@@ -38,7 +38,7 @@ def main() -> None:
           f"ads: {device.ads.n_queries_with_ads} queries with banners")
 
     print("== a slice of the user's day ==")
-    query = next(iter(device.search.cache.query_registry.values()))
+    query = device.search.cache.hashtable.queries()[0]
     hit = device.search.measure_hit(query)
     print(f"   search {query!r}: hit in {hit.outcome.latency_s * 1000:.0f} ms")
     ad = device.ads.serve(query, search_hit=True)

@@ -21,7 +21,7 @@ from repro.logs.generator import SearchLog
 from repro.logs.schema import MONTH_SECONDS
 from repro.pocketsearch.cache import PocketSearchCache
 from repro.pocketsearch.database import ResultDatabase
-from repro.pocketsearch.hashtable import QueryHashTable, hash64
+from repro.pocketsearch.hashtable import QueryHashTable, chain_entries, hash64
 from repro.pocketsearch.ranking import PersonalizedRanker
 from repro.sim.replay import (
     CacheMode,
@@ -149,9 +149,9 @@ def results_per_entry_hit_cost(seed: int = 23) -> Dict[int, dict]:
             table.insert(entry.query, hash64(entry.url), entry.score)
         chain_lengths = []
         for query in sorted({e.query for e in content.entries}):
-            slots = table.slots_for(query)
-            chains = -(-len(slots) // width) if slots else 0
-            chain_lengths.append(chains)
+            chain_lengths.append(
+                chain_entries(len(table.slots_for(query)), width)
+            )
         out[width] = {
             "footprint_bytes": table.footprint_bytes,
             "mean_chain_entries": float(np.mean(chain_lengths)),

@@ -33,7 +33,7 @@ def _engine(seed: int = 23) -> PocketSearchEngine:
 
 
 def _cached_queries(engine: PocketSearchEngine, n: int = 100) -> List[str]:
-    queries = list(engine.cache.query_registry.values())
+    queries = engine.cache.hashtable.queries()
     step = max(1, len(queries) // n)
     return queries[::step][:n]
 

@@ -20,11 +20,7 @@ from repro.pocketsearch.content import (
     build_cache_content,
     triplets_from_log,
 )
-from repro.pocketsearch.hashtable import (
-    HashEntry,
-    QueryHashTable,
-    hash64,
-)
+from repro.pocketsearch.hashtable import QueryHashTable, hash64
 from repro.pocketsearch.database import ResultDatabase, StoredResult
 from repro.pocketsearch.ranking import PersonalizedRanker
 from repro.pocketsearch.cache import CacheLookup, PocketSearchCache
@@ -38,7 +34,6 @@ __all__ = [
     "CacheLookup",
     "CacheUpdateServer",
     "ContentPolicy",
-    "HashEntry",
     "PersonalizedRanker",
     "PocketSearchCache",
     "PocketSearchEngine",

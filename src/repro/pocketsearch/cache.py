@@ -10,6 +10,11 @@
 
 Either component can be disabled to reproduce the decompositions of
 Figure 17.
+
+The hash table is the cache's one index of cached queries: it keys each
+query's slots by the query string, which the app (and the server that
+mined it) holds anyway, so updates and the suggest box enumerate it
+directly.
 """
 
 from __future__ import annotations
@@ -19,60 +24,11 @@ from typing import List, Optional, Tuple
 
 from repro.pocketsearch.content import CacheContent, DEFAULT_RECORD_BYTES
 from repro.pocketsearch.database import ResultDatabase
-from repro.pocketsearch.hashtable import Chain, QueryHashTable, hash64
+from repro.pocketsearch.hashtable import QueryHashTable, hash64
 from repro.pocketsearch.ranking import PersonalizedRanker
 from repro.storage.device import shallow_copy
 from repro.storage.filesystem import FlashFilesystem
 from repro.storage.flash import NandFlash
-
-
-class VersionedRegistry(dict):
-    """A dict with a monotonically increasing mutation version.
-
-    The suggest index uses the version as a cheap change token: comparing
-    the registry's *length* misses updates that replace N entries with N
-    different ones (a nightly refresh that swaps the popular set), which
-    would leave the auto-suggest box serving stale queries.
-    """
-
-    __slots__ = ("version",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.version = 0
-
-    def __setitem__(self, key, value) -> None:
-        super().__setitem__(key, value)
-        self.version += 1
-
-    def __delitem__(self, key) -> None:
-        super().__delitem__(key)
-        self.version += 1
-
-    def pop(self, *args):
-        self.version += 1
-        return super().pop(*args)
-
-    def popitem(self):
-        self.version += 1
-        return super().popitem()
-
-    def clear(self) -> None:
-        super().clear()
-        self.version += 1
-
-    def update(self, *args, **kwargs) -> None:
-        super().update(*args, **kwargs)
-        self.version += 1
-
-    def setdefault(self, key, default=None):
-        self.version += 1
-        return super().setdefault(key, default)
-
-    def copy(self) -> "VersionedRegistry":
-        clone = VersionedRegistry(self)
-        clone.version = self.version
-        return clone
 
 
 @dataclass(frozen=True)
@@ -101,12 +57,6 @@ class PocketSearchCache:
         self.database = database
         self.ranker = ranker or PersonalizedRanker()
         self.personalization_enabled = personalization_enabled
-        #: query hash -> query string, for every query currently cached.
-        #: The hash table itself stores only hashes (Figure 10); the
-        #: strings live with the app (and the server) and are needed to
-        #: enumerate the table during updates.  The registry's mutation
-        #: version lets the suggest index detect content swaps.
-        self.query_registry: VersionedRegistry = VersionedRegistry()
         self.hits = 0
         self.misses = 0
 
@@ -143,7 +93,6 @@ class PocketSearchCache:
         clone = shallow_copy(self)
         clone.hashtable = self.hashtable.copy()
         clone.database = self.database.copy()
-        clone.query_registry = self.query_registry.copy()
         return clone
 
     def load_community(self, content: CacheContent) -> None:
@@ -153,14 +102,12 @@ class PocketSearchCache:
             self.hashtable.insert(
                 entry.query, stored.result_hash, entry.score, accessed=False
             )
-            self.query_registry[hash64(entry.query)] = entry.query
 
     # -- service path ------------------------------------------------------------
 
-    def lookup(self, query: str, chain: Optional[Chain] = None) -> CacheLookup:
-        """Check the hash table for locally available results (``chain``:
-        the query's walk, when the caller has it)."""
-        results = self.hashtable.lookup(query, chain)
+    def lookup(self, query: str) -> CacheLookup:
+        """Check the hash table for locally available results."""
+        results = self.hashtable.lookup(query)
         hit = results is not None
         if hit:
             self.hits += 1
@@ -178,26 +125,20 @@ class PocketSearchCache:
         query: str,
         clicked_url: str,
         record_bytes: int = DEFAULT_RECORD_BYTES,
-        chain: Optional[Chain] = None,
     ) -> None:
         """Feed one user interaction to the personalization component.
 
         On a previously unseen pair this caches the query and result so
         the next submission is a hit; on a cached pair it applies the
         Equations (1)-(2) score updates.  No-op when personalization is
-        disabled (community-only mode).  ``chain`` is the query's walk
-        from this request's lookup, when the caller has it; its chain-0
-        hash is the query's registry key.
+        disabled (community-only mode).
         """
         if not self.personalization_enabled:
             return
         clicked_hash = hash64(clicked_url)
         if not self.database.contains(clicked_hash):
             self.database.add_result(clicked_url, record_bytes)
-        if chain is None:
-            chain = self.hashtable.chain(query)
-        self.ranker.record_click(self.hashtable, query, clicked_hash, chain)
-        self.query_registry[chain[0][0]] = query
+        self.ranker.record_click(self.hashtable, query, clicked_hash)
 
     # -- stats -------------------------------------------------------------------
 

@@ -120,18 +120,13 @@ class PocketSearchEngine:
         tracer = get_tracer()
         with tracer.span("serve_query", timestamp=timestamp) as span:
             with tracer.span("cache_lookup"):
-                # One walk of the query's chain serves the lookup and the
-                # click's updates.
-                chain = self.cache.hashtable.chain(query)
-                lookup = self.cache.lookup(query, chain)
+                lookup = self.cache.lookup(query)
             if lookup.hit:
                 result = self._serve_hit(lookup, query, navigational, timestamp)
             else:
                 result = self._serve_miss(query, navigational, timestamp)
             with tracer.span("record_click"):
-                self.cache.record_click(
-                    query, clicked_url, record_bytes, chain
-                )
+                self.cache.record_click(query, clicked_url, record_bytes)
             if tracer.enabled:
                 span.set_attrs(
                     hit=result.outcome.hit,
@@ -148,7 +143,7 @@ class PocketSearchEngine:
         the point of the prototype's auto-suggest box: real results
         appear as the user types, no radio involved.
 
-        The index is re-synced with the cache registry on every call (a
+        The index is re-synced with the hash table on every call (a
         version-token compare, free when nothing changed), so
         suggestions reflect server updates applied since the last
         keystroke — not the cache content the index was built from.

@@ -1,7 +1,7 @@
 """The query hash table (Section 5.2.1, Figure 10).
 
-Lives in DRAM and links query strings to search results.  Every entry
-holds:
+Lives in DRAM and links query strings to search results.  The modelled
+table is made of entries, and every entry holds:
 
 * the 64-bit hash of the query string (salted by a chain index so a query
   with more than two results spawns additional entries);
@@ -13,14 +13,21 @@ Two results per entry is the footprint-minimizing choice (Figure 11):
 most queries have one or two popular results, so wider entries waste
 slots while single-slot entries pay the per-entry overhead once per
 result.
+
+The table keeps one immutable tuple of ``(result hash, score, accessed)``
+slots per query string, in chain order.  A query with *n* slots fills
+:func:`chain_entries` entries, so the entry count, the DRAM footprint
+and the wire size are arithmetic over the slot counts; only
+:meth:`QueryHashTable.serialize` computes the chain hashes.  A table
+copy is one dict copy that shares every tuple.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.storage.device import shallow_copy
 
@@ -35,6 +42,14 @@ ENTRY_OVERHEAD_BYTES = 24
 #: The paper's choice of results per entry.
 DEFAULT_RESULTS_PER_ENTRY = 2
 
+#: One cached (result hash, ranking score, accessed flag) pair.
+Slot = Tuple[int, float, bool]
+
+_HEADER = struct.Struct("<4sBI")  # magic, width, entry count
+_ENTRY_HEAD = struct.Struct("<QHB")  # query hash, chain idx, slot count
+_SLOT = struct.Struct("<QfB")  # result hash, score, accessed
+_MAGIC = b"PSHT"
+
 
 def hash64(text: str, salt: int = 0) -> int:
     """Deterministic 64-bit hash of a string (stable across runs).
@@ -47,40 +62,6 @@ def hash64(text: str, salt: int = 0) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-@dataclass
-class _Slot:
-    result_hash: int
-    score: float
-    accessed: bool = False
-
-
-@dataclass
-class HashEntry:
-    """One hash-table entry: up to ``capacity`` result slots."""
-
-    query_hash: int
-    capacity: int
-    slots: List[_Slot] = field(default_factory=list)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.slots) >= self.capacity
-
-    def flags_word(self) -> int:
-        """The 64-bit flags field: bit *i* set if slot *i* was accessed."""
-        word = 0
-        for i, slot in enumerate(self.slots):
-            if slot.accessed:
-                word |= 1 << i
-        return word
-
-
-#: One walk of a query's chain (:meth:`QueryHashTable.chain`): the hash of
-#: every chain index up to and including the first missing one, and the
-#: entries found, in chain order.
-Chain = Tuple[List[int], List[HashEntry]]
-
-
 def entry_bytes(results_per_entry: int) -> int:
     """Modelled DRAM bytes of one entry with the given slot count."""
     if results_per_entry <= 0:
@@ -91,6 +72,17 @@ def entry_bytes(results_per_entry: int) -> int:
         + results_per_entry * (RESULT_HASH_BYTES + SCORE_BYTES)
         + FLAGS_BYTES
     )
+
+
+def chain_entries(n_slots: int, width: int) -> int:
+    """Entries a query's chain needs for ``n_slots`` slots, ``width``
+    slots per entry."""
+    return -(-n_slots // width)
+
+
+def wire_bytes(n_entries: int, n_slots: int) -> int:
+    """Length of a :meth:`QueryHashTable.serialize` blob."""
+    return _HEADER.size + _ENTRY_HEAD.size * n_entries + _SLOT.size * n_slots
 
 
 class QueryHashTable:
@@ -112,24 +104,29 @@ class QueryHashTable:
             raise ValueError("lookup_latency_s must be non-negative")
         self.results_per_entry = results_per_entry
         self.lookup_latency_s = lookup_latency_s
-        # Keyed by (query_hash, chain index).
-        self._entries: Dict[Tuple[int, int], HashEntry] = {}
-        self.total_lookups = 0
+        # query -> its slots in chain order; never empty.
+        self._slots: Dict[str, Tuple[Slot, ...]] = {}
+        #: bumped whenever a query is added or dropped
+        self.version = 0
 
     def copy(self) -> "QueryHashTable":
-        """An independent table with the same entries and counters."""
+        """An independent table with the same slots; the tuples are
+        immutable, so they are shared."""
         clone = shallow_copy(self)
-        clone._entries = {
-            key: HashEntry(
-                entry.query_hash,
-                entry.capacity,
-                [_Slot(s.result_hash, s.score, s.accessed) for s in entry.slots],
-            )
-            for key, entry in self._entries.items()
-        }
+        clone._slots = dict(self._slots)
         return clone
 
     # -- write path ---------------------------------------------------------
+
+    def store(self, query: str, slots: Tuple[Slot, ...]) -> None:
+        """Replace the query's slots (chain order); an empty tuple drops
+        the query."""
+        if slots:
+            if query not in self._slots:
+                self.version += 1
+            self._slots[query] = slots
+        elif self._slots.pop(query, None) is not None:
+            self.version += 1
 
     def insert(
         self, query: str, result_hash: int, score: float, accessed: bool = False
@@ -137,210 +134,99 @@ class QueryHashTable:
         """Insert or update one (query, result) pair.
 
         If the pair exists, its score is replaced only when the new score
-        is higher (the conflict rule of Section 5.4).  New results go in
-        the first free slot, chaining a new entry when all are full.
+        is higher (the conflict rule of Section 5.4) and the access flag
+        is kept.  A new result takes the next slot in chain order.
         """
         if not 0 <= score:
             raise ValueError(f"score must be non-negative, got {score}")
-        chain = self.chain(query)
-        for entry in chain[1]:
-            for slot in entry.slots:
-                if slot.result_hash == result_hash:
-                    slot.score = max(slot.score, score)
-                    slot.accessed = slot.accessed or accessed
-                    return
-        self.extend_chain(chain, result_hash, score, accessed)
-
-    def extend_chain(
-        self, chain: Chain, result_hash: int, score: float, accessed: bool
-    ) -> None:
-        """Add a pair that is not in the query's chain: the first entry
-        with a free slot takes it, or a new entry extends the chain.
-        ``chain`` is the query's current walk (:meth:`chain`), so no chain
-        key is hashed again."""
-        hashes, entries = chain
-        slot = _Slot(result_hash, score, accessed)
-        for entry in entries:
-            if not entry.is_full:
-                entry.slots.append(slot)
+        slots = self._slots.get(query, ())
+        for i, (slot_hash, slot_score, slot_accessed) in enumerate(slots):
+            if slot_hash == result_hash:
+                updated = (
+                    result_hash,
+                    max(slot_score, score),
+                    slot_accessed or accessed,
+                )
+                self.store(query, slots[:i] + (updated,) + slots[i + 1 :])
                 return
-        index = len(entries)
-        self._entries[(hashes[index], index)] = HashEntry(
-            hashes[index], self.results_per_entry, [slot]
-        )
-
-    def set_score(self, query: str, result_hash: int, score: float) -> None:
-        """Overwrite a pair's score."""
-        slot = self._find_slot(query, result_hash)
-        if slot is None:
-            raise KeyError(f"pair ({query!r}, {result_hash}) not cached")
-        slot.score = score
-
-    def mark_accessed(self, query: str, result_hash: int) -> None:
-        """Set the pair's access flag (drives update-time retention)."""
-        slot = self._find_slot(query, result_hash)
-        if slot is None:
-            raise KeyError(f"pair ({query!r}, {result_hash}) not cached")
-        slot.accessed = True
+        self.store(query, slots + ((result_hash, score, accessed),))
 
     def remove(self, query: str, result_hash: int) -> bool:
-        """Remove one pair; returns whether it existed.
-
-        Later chained slots are compacted into the freed position so
-        lookups never see a gap.
-        """
-        hashes, entries = self.chain(query)
-        all_slots = [s for entry in entries for s in entry.slots]
-        kept = [s for s in all_slots if s.result_hash != result_hash]
-        if len(kept) == len(all_slots):
+        """Remove one pair; returns whether it existed.  Later slots move
+        up, so the chain never has a gap."""
+        slots = self._slots.get(query, ())
+        kept = tuple(slot for slot in slots if slot[0] != result_hash)
+        if len(kept) == len(slots):
             return False
-        keys = [(hashes[i], i) for i in range(len(entries))]
-        self._rewrite_chain(keys, kept)
+        self.store(query, kept)
         return True
-
-    def _rewrite_chain(
-        self, keys: List[Tuple[int, int]], slots: List[_Slot]
-    ) -> None:
-        for key in keys:
-            del self._entries[key]
-        for i in range(0, len(slots), self.results_per_entry):
-            chain = i // self.results_per_entry
-            key = keys[chain]
-            self._entries[key] = HashEntry(
-                query_hash=key[0],
-                capacity=self.results_per_entry,
-                slots=slots[i : i + self.results_per_entry],
-            )
 
     # -- read path --------------------------------------------------------------
 
-    def chain(self, query: str) -> Chain:
-        """Walk the query's chain once, hashing each chain key once.
-
-        A caller that reads and then updates one query (the serve path's
-        lookup and click) walks once and passes the walk on; it stays
-        valid until the table changes.
-        """
-        hashes: List[int] = []
-        entries: List[HashEntry] = []
-        index = 0
-        while True:
-            query_hash = hash64(query, index)
-            hashes.append(query_hash)
-            entry = self._entries.get((query_hash, index))
-            if entry is None:
-                return hashes, entries
-            entries.append(entry)
-            index += 1
-
-    def lookup(
-        self, query: str, chain: Optional[Chain] = None
-    ) -> Optional[List[Tuple[int, float]]]:
-        """All (result hash, score) pairs for a query, descending score.
-
-        Returns ``None`` on a cache miss.  The walk follows chained
-        entries until a missing chain index; ``chain`` is that walk when
-        the caller already has it.
-        """
-        self.total_lookups += 1
-        if chain is None:
-            chain = self.chain(query)
-        results = [
-            (s.result_hash, s.score) for entry in chain[1] for s in entry.slots
-        ]
-        if not results:
+    def lookup(self, query: str) -> Optional[List[Tuple[int, float]]]:
+        """All (result hash, score) pairs for a query, descending score
+        (ties keep chain order).  Returns ``None`` on a cache miss."""
+        slots = self._slots.get(query)
+        if slots is None:
             return None
-        return sorted(results, key=lambda rs: rs[1], reverse=True)
+        return sorted(
+            [(slot[0], slot[1]) for slot in slots],
+            key=itemgetter(1),
+            reverse=True,
+        )
 
     def contains(self, query: str) -> bool:
-        key = (hash64(query, 0), 0)
-        entry = self._entries.get(key)
-        return entry is not None and bool(entry.slots)
+        return query in self._slots
 
-    def slots_for(self, query: str) -> List[Tuple[int, float, bool]]:
+    def slots_for(self, query: str) -> Tuple[Slot, ...]:
         """(result hash, score, accessed) per slot, in chain order."""
-        return [
-            (s.result_hash, s.score, s.accessed)
-            for entry in self.chain(query)[1]
-            for s in entry.slots
-        ]
+        return self._slots.get(query, ())
 
-    def _find_slot(self, query: str, result_hash: int) -> Optional[_Slot]:
-        for entry in self.chain(query)[1]:
-            for slot in entry.slots:
-                if slot.result_hash == result_hash:
-                    return slot
-        return None
+    def queries(self) -> List[str]:
+        """Every cached query, in the order it was first cached."""
+        return list(self._slots)
 
     # -- footprint ----------------------------------------------------------------
 
     @property
     def n_entries(self) -> int:
-        return len(self._entries)
+        width = self.results_per_entry
+        return sum(
+            chain_entries(len(slots), width) for slots in self._slots.values()
+        )
 
     @property
     def n_pairs(self) -> int:
-        return sum(len(e.slots) for e in self._entries.values())
+        return sum(len(slots) for slots in self._slots.values())
 
     @property
     def footprint_bytes(self) -> int:
         """Modelled DRAM footprint (Figure 11's y-axis)."""
         return self.n_entries * entry_bytes(self.results_per_entry)
 
-    def entries(self) -> Iterator[HashEntry]:
-        return iter(self._entries.values())
+    @property
+    def wire_bytes(self) -> int:
+        """Length of the :meth:`serialize` blob."""
+        return wire_bytes(self.n_entries, self.n_pairs)
 
     # -- wire format ------------------------------------------------------------
-
-    _HEADER = struct.Struct("<4sBI")  # magic, width, entry count
-    _ENTRY_HEAD = struct.Struct("<QHB")  # query hash, chain idx, slot count
-    _SLOT = struct.Struct("<QfB")  # result hash, score, accessed
-    _MAGIC = b"PSHT"
 
     def serialize(self) -> bytes:
         """Encode the table as the update protocol's wire format.
 
         This is what the phone uploads to the server in Figure 14 and
-        what the server ships back: a compact, self-describing blob.
+        what the server ships back: a header (magic, width, entry count),
+        then per entry its chain hash ``hash64(query, i)``, chain index
+        ``i``, slot count and slots.
         """
-        parts = [self._HEADER.pack(self._MAGIC, self.results_per_entry, self.n_entries)]
-        for (query_hash, chain), entry in self._entries.items():
-            parts.append(self._ENTRY_HEAD.pack(query_hash, chain, len(entry.slots)))
-            for slot in entry.slots:
+        width = self.results_per_entry
+        parts = [_HEADER.pack(_MAGIC, width, self.n_entries)]
+        for query, slots in self._slots.items():
+            for index, start in enumerate(range(0, len(slots), width)):
+                chunk = slots[start : start + width]
                 parts.append(
-                    self._SLOT.pack(slot.result_hash, slot.score, int(slot.accessed))
+                    _ENTRY_HEAD.pack(hash64(query, index), index, len(chunk))
                 )
+                for result_hash, score, accessed in chunk:
+                    parts.append(_SLOT.pack(result_hash, score, int(accessed)))
         return b"".join(parts)
-
-    @classmethod
-    def deserialize(cls, data: bytes, lookup_latency_s: float = 10e-6) -> "QueryHashTable":
-        """Decode a :meth:`serialize` blob back into a table.
-
-        Raises:
-            ValueError: on a malformed or truncated blob.
-        """
-        if len(data) < cls._HEADER.size:
-            raise ValueError("hash-table blob too short for header")
-        magic, width, n_entries = cls._HEADER.unpack_from(data, 0)
-        if magic != cls._MAGIC:
-            raise ValueError(f"bad hash-table magic {magic!r}")
-        table = cls(results_per_entry=width, lookup_latency_s=lookup_latency_s)
-        offset = cls._HEADER.size
-        for _ in range(n_entries):
-            if offset + cls._ENTRY_HEAD.size > len(data):
-                raise ValueError("truncated hash-table blob (entry head)")
-            query_hash, chain, n_slots = cls._ENTRY_HEAD.unpack_from(data, offset)
-            offset += cls._ENTRY_HEAD.size
-            entry = HashEntry(query_hash=query_hash, capacity=width)
-            for _ in range(n_slots):
-                if offset + cls._SLOT.size > len(data):
-                    raise ValueError("truncated hash-table blob (slot)")
-                result_hash, score, accessed = cls._SLOT.unpack_from(data, offset)
-                offset += cls._SLOT.size
-                entry.slots.append(_Slot(result_hash, score, bool(accessed)))
-            table._entries[(query_hash, chain)] = entry
-        if offset != len(data):
-            raise ValueError(
-                f"hash-table blob has {len(data) - offset} trailing bytes"
-            )
-        return table

@@ -13,13 +13,16 @@ Periodically (e.g. nightly, while the phone charges):
 4. the server ships the new hash table plus per-file patch files for the
    result database.
 
-The paper notes the whole exchange is usually under ~1.5 MB.
+The paper notes the whole exchange is usually under ~1.5 MB.  The
+round enumerates the phone's hash table by its query strings, and both
+transfer sizes are the table's ``wire_bytes``: the length of its
+serialized blob, computed from the slot counts without building it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.logs.generator import SearchLog
 from repro.pocketsearch.cache import PocketSearchCache
@@ -43,8 +46,7 @@ class UpdatePatch:
     pairs_removed: int
     results_added: int
     results_removed: int = 0
-    #: query strings dropped from the phone's registry because the
-    #: update left them with no cached pairs.
+    #: queries cached before the round that it left with no pairs
     queries_pruned: int = 0
     compaction: Optional[CompactionResult] = None
     patch_files: Dict[int, int] = field(default_factory=dict)  # file -> bytes
@@ -90,20 +92,21 @@ class CacheUpdateServer:
         once and apply it to many users' caches.
         """
         table = cache.hashtable
-        bytes_uploaded = len(table.serialize())
+        bytes_uploaded = table.wire_bytes
+        cached_before = table.queries()
 
-        # Step 2: prune. Collect pairs to drop without mutating mid-walk.
-        to_remove: List[Tuple[str, int]] = []
-        query_by_slot: Dict[int, str] = {}
+        # Step 2: prune never-accessed and decayed pairs.
+        pairs_removed = 0
         retained_pairs: Set[Tuple[str, int]] = set()
-        for query, slots in self._table_pairs(cache):
-            for result_hash, score, accessed in slots:
-                if not accessed or score < self.retention_min_score:
-                    to_remove.append((query, result_hash))
-                else:
-                    retained_pairs.add((query, result_hash))
-        for query, result_hash in to_remove:
-            table.remove(query, result_hash)
+        min_score = self.retention_min_score
+        for query in cached_before:
+            slots = table.slots_for(query)
+            kept = tuple(
+                slot for slot in slots if slot[2] and slot[1] >= min_score
+            )
+            pairs_removed += len(slots) - len(kept)
+            retained_pairs.update((query, slot[0]) for slot in kept)
+            table.store(query, kept)
 
         # Step 3: merge the fresh popular content (max score wins —
         # QueryHashTable.insert already keeps the higher score).
@@ -123,23 +126,19 @@ class CacheUpdateServer:
             if (entry.query, result_hash) not in retained_pairs:
                 pairs_added += 1
             table.insert(entry.query, result_hash, entry.score, accessed=False)
-            cache.query_registry[hash64(entry.query)] = entry.query
 
-        # Step 4: garbage-collect the phone-side string registry and the
-        # result database, then compact the database files if enough
-        # garbage accumulated (a charge-time maintenance pass, free in
-        # battery terms).  Queries whose pairs were all dropped must not
-        # linger in the registry: the suggest index would keep offering
-        # them, and the strings are dead weight in DRAM.
-        queries_pruned = 0
-        for query_hash, query in list(cache.query_registry.items()):
-            if not table.slots_for(query):
-                del cache.query_registry[query_hash]
-                queries_pruned += 1
-        referenced = set()
-        for _query, slots in self._table_pairs(cache):
-            for result_hash, _score, _accessed in slots:
-                referenced.add(result_hash)
+        # Step 4: count the queries the round left without pairs, then
+        # garbage-collect the result database and compact its files if
+        # enough garbage accumulated (a charge-time maintenance pass,
+        # free in battery terms).
+        queries_pruned = sum(
+            1 for query in cached_before if not table.contains(query)
+        )
+        referenced = {
+            slot[0]
+            for query in table.queries()
+            for slot in table.slots_for(query)
+        }
         results_removed = 0
         for result_hash in list(cache.database._index):
             if result_hash not in referenced:
@@ -152,29 +151,15 @@ class CacheUpdateServer:
         ):
             compacted = cache.database.compact()
 
-        bytes_downloaded = len(table.serialize()) + sum(patch_files.values())
+        bytes_downloaded = table.wire_bytes + sum(patch_files.values())
         return UpdatePatch(
             bytes_uploaded=bytes_uploaded,
             bytes_downloaded=bytes_downloaded,
             pairs_added=pairs_added,
-            pairs_removed=len(to_remove),
+            pairs_removed=pairs_removed,
             results_added=results_added,
             results_removed=results_removed,
             queries_pruned=queries_pruned,
             compaction=compacted,
             patch_files=patch_files,
         )
-
-    @staticmethod
-    def _table_pairs(cache: PocketSearchCache):
-        """Yield (query, slots) for every cached query.
-
-        The hash table stores only hashes (Figure 10); the query strings
-        come from the cache's query registry, mirroring the real system
-        where the server knows the strings it mined from logs and the
-        phone keeps the strings the user typed.
-        """
-        for query in list(cache.query_registry.values()):
-            slots = cache.hashtable.slots_for(query)
-            if slots:
-                yield query, slots

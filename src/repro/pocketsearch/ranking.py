@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-from repro.pocketsearch.hashtable import Chain, QueryHashTable
+from repro.pocketsearch.hashtable import QueryHashTable
 
 
 @dataclass(frozen=True)
@@ -38,35 +37,27 @@ class PersonalizedRanker:
             )
 
     def record_click(
-        self,
-        table: QueryHashTable,
-        query: str,
-        clicked_result_hash: int,
-        chain: Optional[Chain] = None,
+        self, table: QueryHashTable, query: str, clicked_result_hash: int
     ) -> None:
         """Apply Equations (1)-(2) after a click on a cached query.
 
         If the clicked result is not yet linked to the query (a click
         following a cache miss), a new pair is inserted with score 1, as
-        Section 5.3 specifies.  Every update happens in one walk of the
-        query's chain: ``chain`` when the caller already walked it
-        (:meth:`QueryHashTable.chain`), else a walk made here.
+        Section 5.3 specifies.  The query's new slots are stored in one
+        write.
         """
-        if chain is None:
-            chain = table.chain(query)
         decay = math.exp(-self.decay_lambda)
-        clicked = None
-        for entry in chain[1]:
-            for slot in entry.slots:
-                if slot.result_hash == clicked_result_hash:
-                    slot.score = slot.score + 1.0
-                    clicked = slot
-                else:
-                    slot.score = slot.score * decay
-        if clicked is None:
-            table.extend_chain(chain, clicked_result_hash, 1.0, accessed=True)
-        else:
-            clicked.accessed = True
+        clicked = False
+        updated = []
+        for result_hash, score, accessed in table.slots_for(query):
+            if result_hash == clicked_result_hash:
+                updated.append((result_hash, score + 1.0, True))
+                clicked = True
+            else:
+                updated.append((result_hash, score * decay, accessed))
+        if not clicked:
+            updated.append((clicked_result_hash, 1.0, True))
+        table.store(query, tuple(updated))
 
     def decayed_score(self, score: float, idle_updates: int) -> float:
         """Score after ``idle_updates`` unselected updates (closed form)."""

@@ -38,34 +38,33 @@ class SuggestIndex:
     """Prefix index over the queries cached by a PocketSearch cache.
 
     Args:
-        cache: the cache whose query registry backs the index.
+        cache: the cache whose hash table backs the index.
 
     The index is rebuilt lazily: mutations to the cache are picked up on
     the next :meth:`refresh` (the engine refreshes on every suggest
-    call).  Staleness is detected through the registry's mutation
-    *version*, not its length — a server update that replaces N queries
-    with N different ones changes the version even though the size is
-    unchanged.
+    call).  Staleness is detected through the table's *version*, bumped
+    whenever a query is added or dropped, not its length — a server
+    update that replaces N queries with N different ones changes the
+    version even though the size is unchanged.
     """
 
     def __init__(self, cache: PocketSearchCache) -> None:
         self.cache = cache
         self._sorted_queries: List[str] = []
-        self._registry_version: Optional[int] = None
+        self._table_version: Optional[int] = None
         self.refresh()
 
     def refresh(self) -> None:
-        """Re-sync the sorted query list with the cache registry.
+        """Re-sync the sorted query list with the cache's hash table.
 
-        No-op when the registry's mutation version is unchanged, so
-        calling this on every keystroke costs one integer compare.
+        No-op when the table's version is unchanged, so calling this on
+        every keystroke costs one integer compare.
         """
-        registry = self.cache.query_registry
-        version = getattr(registry, "version", None)
-        if version is not None and version == self._registry_version:
+        table = self.cache.hashtable
+        if table.version == self._table_version:
             return
-        self._sorted_queries = sorted(registry.values())
-        self._registry_version = version
+        self._sorted_queries = sorted(table.queries())
+        self._table_version = table.version
 
     @property
     def n_queries(self) -> int:

@@ -458,10 +458,6 @@ def loadtest_main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--queue-depth", type=int, default=32)
     parser.add_argument("--max-inflight", type=int, default=4096)
-    parser.add_argument(
-        "--refresh-interval", type=float, default=None, metavar="S",
-        help="run the background cache refresher at this simulated period",
-    )
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--burst", metavar="START:DUR:MULT", default=None,
@@ -567,7 +563,6 @@ def loadtest_main(argv: Optional[List[str]] = None) -> int:
         "max_devices": args.max_devices,
         "queue_depth": args.queue_depth,
         "max_inflight": args.max_inflight,
-        "refresh_interval_s": args.refresh_interval,
         "slo_policy": args.slo_policy,
         "battery_capacity_j": args.battery_capacity_j,
         **_edge_config(args),
@@ -612,7 +607,6 @@ def loadtest_main(argv: Optional[List[str]] = None) -> int:
                     queue_depth=args.queue_depth,
                     max_inflight=args.max_inflight,
                 ),
-                refresh_interval_s=args.refresh_interval,
                 telemetry=telemetry,
                 registry=registry,
                 edge_topology=edge_topology,

@@ -390,7 +390,6 @@ async def _submit_schedule(
 
 async def run_workload(server: CloudletServer, workload: Workload) -> ServeReport:
     """Drive ``server`` with ``workload`` and report what happened."""
-    server.start()
     try:
         replies = await _submit_schedule(server, workload.arrivals)
     finally:
@@ -548,7 +547,6 @@ async def _serve_mode(
             )
     schedule.sort(key=lambda pair: pair[0])
 
-    server.start()
     try:
         replies = await _submit_schedule(server, schedule)
     finally:
@@ -584,7 +582,6 @@ def run_loadtest(
     build_month: int = 0,
     workload_month: int = 1,
     policy: ContentPolicy = PAPER_OPERATING_POINT,
-    refresh_interval_s: Optional[float] = None,
     slo_policy: Optional[SLOPolicy] = None,
     telemetry: Optional[ServeTelemetry] = None,
     registry: Optional[MetricsRegistry] = None,
@@ -599,9 +596,6 @@ def run_loadtest(
     natural rate.
 
     Args:
-        refresh_interval_s: if set, runs the background cache refresh
-            task at this period, re-applying the build-month content
-            (exercising the update path under live load).
         slo_policy: if set, the run is monitored against it; the verdict
             lands in ``report.slo`` and burn-rate alerts are emitted as
             ``slo_alert`` tracer events.
@@ -631,15 +625,6 @@ def run_loadtest(
     def backend_factory(device_id: int) -> SearchBackend:
         return SearchBackend(PocketSearchEngine(image.copy()))
 
-    refresh_fn = None
-    if refresh_interval_s is not None:
-        from repro.pocketsearch.manager import CacheUpdateServer
-
-        update_server = CacheUpdateServer()
-
-        def refresh_fn(device_id: int, backend: SearchBackend) -> None:
-            update_server.refresh_with_content(backend.engine.cache, content)
-
     edge = None
     if edge_topology is not None:
         edge = EdgeTier(edge_topology)
@@ -647,14 +632,8 @@ def run_loadtest(
             edge.seed_from_scores(_edge_warm_keys(content))
     server = CloudletServer(
         backend_factory,
-        ServeConfig(
-            queue_depth=serve_config.queue_depth,
-            max_inflight=serve_config.max_inflight,
-            time_scale=serve_config.time_scale,
-            refresh_interval_s=refresh_interval_s,
-        ),
+        serve_config,
         registry=registry if registry is not None else MetricsRegistry(),
-        refresh_fn=refresh_fn,
         telemetry=telemetry,
         edge=edge,
     )

@@ -188,7 +188,9 @@ class Overloaded:
         ``"device-queue-full"`` — the per-device bounded queue was full;
         ``"server-busy"`` — the global in-flight cap was reached;
         ``"edge-queue-full"`` — the owning cloudlet node's in-flight
-        bound was reached (shed mid-flight, on the edge hop).
+        bound was reached (shed mid-flight, on the edge hop);
+        ``"server-closed"`` — the server closed while the admitted
+        request was queued or in service.
     """
 
     request: ServeRequest

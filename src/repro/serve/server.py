@@ -1,4 +1,4 @@
-"""The asyncio cloudlet server: sessions, admission control, refresh.
+"""The asyncio cloudlet server: sessions and admission control.
 
 One :class:`CloudletServer` fronts many devices.  Each device gets a
 *session* — a bounded FIFO queue plus a worker task that drives that
@@ -8,7 +8,10 @@ user's queries one at a time; cross-device requests interleave freely).
 Admission control is shed-on-overload, never queue-without-bound:
 
 * a full per-device queue rejects with ``Overloaded("device-queue-full")``;
-* a server-wide in-flight cap rejects with ``Overloaded("server-busy")``.
+* a server-wide in-flight cap rejects with ``Overloaded("server-busy")``;
+* :meth:`CloudletServer.close` resolves every admitted request still
+  queued or in service with ``Overloaded("server-closed")``, so no
+  client waits on a closed server.
 
 A rejected request costs O(1) work and resolves immediately with the
 typed shed response, so an overloaded server stays responsive and its
@@ -23,11 +26,9 @@ for that count to reach zero.
 
 Cache misses go through the shared :class:`~repro.serve.batcher.MissBatcher`
 so concurrent identical fetches ride one simulated radio round trip.
-
-A background refresh task (``ServeConfig.refresh_interval_s``) applies
-``refresh_fn`` to every session's backend under that session's lock —
-serving never observes a half-applied update, and the scheduler yields
-between devices so it cannot monopolise the loop.
+Cache updates are the backend's business: a
+:class:`~repro.serve.backends.DailyUpdateBackend` refreshes its cache
+between requests, on the device's own worker.
 
 The server never reads wall clocks directly — all timing goes through
 ``loop.time()`` and ``asyncio.sleep`` — so the same code runs under a
@@ -65,14 +66,11 @@ class ServeConfig:
             seconds.  1.0 under the virtual loop replays model time
             exactly; small values make wall-clock demos brisk; 0.0
             serves with no sleeps at all (pure throughput mode).
-        refresh_interval_s: period of the background cache refresh task
-            (None disables it).
     """
 
     queue_depth: int = 32
     max_inflight: int = 4096
     time_scale: float = 1.0
-    refresh_interval_s: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.queue_depth <= 0:
@@ -81,14 +79,12 @@ class ServeConfig:
             raise ValueError("max_inflight must be positive")
         if self.time_scale < 0:
             raise ValueError("time_scale must be non-negative")
-        if self.refresh_interval_s is not None and self.refresh_interval_s <= 0:
-            raise ValueError("refresh_interval_s must be positive when given")
 
 
 class _DeviceSession:
     """One device's bounded queue, backend, and worker task."""
 
-    __slots__ = ("device_id", "backend", "queue", "lock", "worker")
+    __slots__ = ("device_id", "backend", "queue", "worker", "current")
 
     def __init__(
         self, device_id: int, backend: DeviceBackend, queue_depth: int
@@ -96,10 +92,9 @@ class _DeviceSession:
         self.device_id = device_id
         self.backend = backend
         self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=queue_depth)
-        # Serializes backend access between the worker and the
-        # background refresher; the worker is the queue's only consumer.
-        self.lock = asyncio.Lock()
         self.worker: Optional["asyncio.Task"] = None
+        #: the (request, future, trace) in service, until it is released
+        self.current: Optional[tuple] = None
 
 
 class CloudletServer:
@@ -112,9 +107,6 @@ class CloudletServer:
         registry: metrics sink (defaults to the process registry).  Each
             ``serve.*`` instrument is looked up once, when first used, and
             the server keeps the handle.
-        refresh_fn: ``(device_id, backend) -> None`` applied by the
-            background refresh task; required if
-            ``config.refresh_interval_s`` is set.
         telemetry: windowed telemetry plane; a default
             :class:`~repro.serve.telemetry.ServeTelemetry` is created
             when not given, so every server is observable out of the box.
@@ -135,17 +127,13 @@ class CloudletServer:
         backend_factory: Callable[[int], DeviceBackend],
         config: ServeConfig = ServeConfig(),
         registry: Optional[MetricsRegistry] = None,
-        refresh_fn: Optional[Callable[[int, DeviceBackend], None]] = None,
         telemetry: Optional[ServeTelemetry] = None,
         edge=None,
     ) -> None:
-        if config.refresh_interval_s is not None and refresh_fn is None:
-            raise ValueError("refresh_interval_s set but no refresh_fn given")
         self.backend_factory = backend_factory
         self.config = config
         self.registry = registry if registry is not None else get_registry()
         self._handles: Dict[str, Any] = {}
-        self.refresh_fn = refresh_fn
         self.batcher = MissBatcher()
         self.edge = edge
         self.telemetry = telemetry if telemetry is not None else ServeTelemetry()
@@ -162,16 +150,9 @@ class CloudletServer:
         #: resolved when the in-flight count next reaches zero (created
         #: by the first :meth:`drain` that has to wait)
         self._idle: Optional["asyncio.Future"] = None
-        self._refresh_task: Optional["asyncio.Task"] = None
         self._closed = False
 
     # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> None:
-        """Start background tasks (the refresh scheduler, if configured)."""
-        if self.config.refresh_interval_s is not None:
-            loop = asyncio.get_running_loop()
-            self._refresh_task = loop.create_task(self._refresh_loop())
 
     async def drain(self) -> None:
         """Wait until every admitted request has completed.
@@ -195,15 +176,32 @@ class CloudletServer:
             idle.set_result(None)
 
     async def close(self) -> None:
-        """Cancel workers and the refresher; pending work is abandoned."""
+        """Cancel the workers, then shed every admitted request still in
+        service or queued with ``Overloaded("server-closed")``.
+
+        Each counts once as a shed after admission and leaves flight, so
+        waiting drains wake.  A request cancelled inside the edge hop or
+        the miss batcher resolves the same way; both release their own
+        state when cancelled.
+        """
         self._closed = True
         tasks = [s.worker for s in self._sessions.values() if s.worker]
-        if self._refresh_task is not None:
-            tasks.append(self._refresh_task)
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        now = asyncio.get_running_loop().time()
+        for session in self._sessions.values():
+            pending = [session.current] if session.current else []
+            session.current = None
+            while not session.queue.empty():
+                pending.append(session.queue.get_nowait())
+            for request, future, trace in pending:
+                self._release()
+                self._shed(
+                    future, request, "server-closed", now, trace,
+                    admitted=True,
+                )
 
     # -- request path -------------------------------------------------------
 
@@ -270,7 +268,8 @@ class CloudletServer:
         trace.annotate(shed_reason=reason)
         reply = Overloaded(request=request, reason=reason, t=now, trace=trace)
         self.telemetry.on_shed(now, reply, admitted=admitted)
-        future.set_result(reply)
+        if not future.done():
+            future.set_result(reply)
 
     # -- workers ------------------------------------------------------------
 
@@ -279,33 +278,35 @@ class CloudletServer:
         tracer = get_tracer()
         scale = self.config.time_scale
         while True:
-            request, future, trace = await session.queue.get()
+            item = await session.queue.get()
+            session.current = item
+            request, future, trace = item
             enqueued_at = trace.marks[0][1]
             started_at = loop.time()
             trace.mark("queue_wait", started_at)
             try:
-                async with session.lock:
-                    with tracer.span(
-                        "serve_request",
-                        device_id=session.device_id,
-                        key=request.key,
-                        trace_id=trace.trace_id,
-                    ):
-                        try:
-                            result = session.backend.serve(request)
-                        except Exception as exc:
-                            raise BackendError(request) from exc
+                with tracer.span(
+                    "serve_request",
+                    device_id=session.device_id,
+                    key=request.key,
+                    trace_id=trace.trace_id,
+                ):
+                    try:
+                        result = session.backend.serve(request)
+                    except Exception as exc:
+                        raise BackendError(request) from exc
             except BackendError as exc:
                 # The request raises it; the session serves on.
                 self._metric("counter", "serve.errors").inc()
+                session.current = None
                 self._release()
                 if not future.done():
                     future.set_exception(exc)
                 session.queue.task_done()
                 continue
-            # Dequeue-to-here is time spent waiting out a session refresh
-            # holding the lock (the backend itself is sync model code:
-            # zero loop-clock time under the virtual clock).
+            # The trace format keeps a refresh_blocked segment between
+            # dequeue and service.  No task holds the session, and the
+            # backend is sync model code, so it spans zero loop time.
             trace.mark("refresh_blocked", loop.time())
             if result.annotations:
                 trace.annotate(**result.annotations)
@@ -340,6 +341,7 @@ class CloudletServer:
                         # The device-side model state already advanced
                         # (the backend served the local miss); the shed
                         # accounts the refused community fetch.
+                        session.current = None
                         self._release()
                         self._shed(
                             future,
@@ -401,6 +403,7 @@ class CloudletServer:
                 edge_node=edge_node,
             )
             self._record(response)
+            session.current = None
             self._release()
             self.telemetry.on_response(completed_at, response, self._inflight)
             if not future.done():
@@ -432,24 +435,6 @@ class CloudletServer:
         metric("histogram", "serve.sojourn_s").add(response.sojourn_s)
         if response.energy is not None:
             metric("histogram", "serve.energy_j").add(response.energy_j)
-
-    # -- background refresh -------------------------------------------------
-
-    async def _refresh_loop(self) -> None:
-        """Periodically refresh every session's backend, never blocking
-        serving for longer than one device's refresh."""
-        tracer = get_tracer()
-        assert self.config.refresh_interval_s is not None
-        while True:
-            await asyncio.sleep(self.config.refresh_interval_s)
-            with tracer.span("serve_refresh_round", n=len(self._sessions)):
-                for device_id, session in list(self._sessions.items()):
-                    async with session.lock:
-                        self.refresh_fn(device_id, session.backend)
-                    self._metric("counter", "serve.refreshes").inc()
-                    # Yield so queued requests of other devices proceed
-                    # between per-device refreshes.
-                    await asyncio.sleep(0)
 
     # -- introspection ------------------------------------------------------
 

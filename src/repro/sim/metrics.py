@@ -2,7 +2,11 @@
 
 A :class:`MetricsCollector` retains every :class:`QueryOutcome`; every
 aggregate, window and percentile is computed exactly from that list
-(percentiles by the nearest-rank rule).
+(percentiles by the nearest-rank rule).  The batch replay engine hands
+a user's outcomes over as arrays (:meth:`MetricsCollector.defer`): their
+objects are built, in stream order, the first time ``outcomes`` is
+read, and ``count``, ``hits`` and ``hit_rate`` read the hit flags
+without building them.
 
 Empty-state contract: counting aggregates (``count``, ``hits``,
 ``total_*``) are 0 and ``hit_rate`` is 0.0 on an empty collector, while
@@ -13,9 +17,9 @@ can aggregate sparse user buckets without guarding every access.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.registry import nearest_rank
 
@@ -48,19 +52,37 @@ class QueryOutcome:
     navigational: Optional[bool] = None
 
 
-@dataclass
 class MetricsCollector:
     """Accumulates :class:`QueryOutcome` records and computes aggregates."""
 
-    outcomes: List[QueryOutcome] = field(default_factory=list)
+    __slots__ = ("_outcomes", "_deferred")
+
+    def __init__(self, outcomes: Optional[List[QueryOutcome]] = None) -> None:
+        self._outcomes: List[QueryOutcome] = (
+            [] if outcomes is None else outcomes
+        )
+        #: (hit flags, build) per deferred batch, in arrival order
+        self._deferred: List[Tuple[object, Callable[[], List[QueryOutcome]]]] = []
+
+    @property
+    def outcomes(self) -> List[QueryOutcome]:
+        """Every outcome in arrival order (deferred batches are built
+        here, once)."""
+        if self._deferred:
+            for _hit, build in self._deferred:
+                self._outcomes.extend(build())
+            self._deferred = []
+        return self._outcomes
 
     # -- recording ----------------------------------------------------------
 
     def record(self, outcome: QueryOutcome) -> None:
         self.outcomes.append(outcome)
 
-    def extend(self, outcomes: List[QueryOutcome]) -> None:
-        self.outcomes.extend(outcomes)
+    def defer(self, hit, build: Callable[[], List[QueryOutcome]]) -> None:
+        """Append ``len(hit)`` outcomes that ``build()`` returns, in order,
+        when they are first read; ``hit`` is their boolean hit array."""
+        self._deferred.append((hit, build))
 
     def merge(self, other: "MetricsCollector") -> None:
         """Fold another collector's outcomes into this one."""
@@ -70,11 +92,13 @@ class MetricsCollector:
 
     @property
     def count(self) -> int:
-        return len(self.outcomes)
+        return len(self._outcomes) + sum(len(hit) for hit, _ in self._deferred)
 
     @property
     def hits(self) -> int:
-        return sum(1 for o in self.outcomes if o.hit)
+        return sum(1 for o in self._outcomes if o.hit) + sum(
+            int(hit.sum()) for hit, _ in self._deferred
+        )
 
     @property
     def hit_rate(self) -> float:

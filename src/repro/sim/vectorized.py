@@ -21,7 +21,9 @@ Bit-identity, not approximation:
 * ranking-score evolution (Equations 1-2) is replayed per (user, query)
   group with the same ``math.exp`` decay and stable top-2 sort;
 * outcomes are fed to the same :class:`MetricsCollector` in stream
-  order, so the two paths' outcome lists are equal element by element.
+  order, so the two paths' outcome lists are equal element by element;
+  a user's outcome objects are built only when the collector's
+  ``outcomes`` are first read.
 
 Every user's cache is a copy-on-write overlay over a shared, read-only
 base: only the queries the user's clicks touch are copied.  Without
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -62,7 +65,7 @@ from repro.pocketsearch.engine import (
     _SOURCE_BY_RADIO,
     PocketSearchEngine,
 )
-from repro.pocketsearch.hashtable import QueryHashTable, hash64
+from repro.pocketsearch.hashtable import chain_entries, hash64, wire_bytes
 from repro.pocketsearch.manager import CacheUpdateServer, UpdatePatch
 from repro.radio.energy import (
     isolated_request_components,
@@ -142,17 +145,6 @@ class EngineCostModel:
         # Update-protocol constants (Section 5.4).
         self.retention_min_score = server.retention_min_score
         self.compaction_threshold = server.compaction_threshold
-        self.header_len = QueryHashTable._HEADER.size
-        self.entry_head_len = QueryHashTable._ENTRY_HEAD.size
-        self.slot_len = QueryHashTable._SLOT.size
-
-    def table_bytes(self, n_entries: int, n_slots: int) -> int:
-        """Wire-format length of a hash table (Section 5.4)."""
-        return (
-            self.header_len
-            + self.entry_head_len * n_entries
-            + self.slot_len * n_slots
-        )
 
     def read_cost(self, offset: int, nbytes: int) -> Tuple[float, float]:
         """(latency, energy) of one positioned file read, scalar path."""
@@ -500,7 +492,7 @@ class _DayPlan:
         self.n_content = len(entries)
         self.n_slots = sum(len(merged) for merged in slots.values())
         self.n_entries = sum(
-            -(-len(merged) // width) for merged in slots.values()
+            chain_entries(len(merged), width) for merged in slots.values()
         )
         self.repeats: Dict[Tuple[int, int], int] = {}
         if self.n_slots != self.n_content:
@@ -791,9 +783,9 @@ def _table_size(
     for qid, slots in overlay.items():
         shadowed = base.slots.get(qid)
         if shadowed:
-            n_entries -= -(-len(shadowed) // width)
+            n_entries -= chain_entries(len(shadowed), width)
             n_slots -= len(shadowed)
-        n_entries += -(-len(slots) // width)
+        n_entries += chain_entries(len(slots), width)
         n_slots += len(slots)
     return n_entries, n_slots
 
@@ -817,7 +809,7 @@ def _refresh_state(state: _UserCacheState, day: _DayPlan) -> UpdatePatch:
     prev_slots = state.base.slots
     day_slots = day.slots
     n_entries, n_slots = _table_size(state.base, state.slots, width)
-    bytes_uploaded = costs.table_bytes(n_entries, n_slots)
+    bytes_uploaded = wire_bytes(n_entries, n_slots)
 
     # Step 2: prune never-accessed and decayed pairs.
     retained: Dict[int, List[List]] = {}
@@ -889,7 +881,7 @@ def _refresh_state(state: _UserCacheState, day: _DayPlan) -> UpdatePatch:
         compacted = _compact_state(state)
 
     n_entries, n_slots = _table_size(day, retained, width)
-    bytes_downloaded = costs.table_bytes(n_entries, n_slots) + sum(
+    bytes_downloaded = wire_bytes(n_entries, n_slots) + sum(
         patch_files.values()
     )
     return UpdatePatch(
@@ -1124,7 +1116,9 @@ def replay_user_vectorized(
     hit, latency, energy = _replay_user_arrays(
         universe, events, mode, daily_contents, t_start, patches
     )
-    metrics.extend(_emit_outcomes(universe, events, hit, latency, energy))
+    metrics.defer(
+        hit, partial(_emit_outcomes, universe, events, hit, latency, energy)
+    )
     return metrics, patches
 
 

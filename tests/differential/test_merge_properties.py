@@ -41,9 +41,7 @@ outcome_lists = st.lists(outcome_strategy(), max_size=40)
 
 
 def exact_of(outcomes):
-    collector = MetricsCollector()
-    collector.extend(list(outcomes))
-    return collector
+    return MetricsCollector(list(outcomes))
 
 
 def order_free_stats(c: MetricsCollector) -> dict:

@@ -52,7 +52,7 @@ class TestBuild:
     def test_search_path_works(self, small_log):
         device = PocketDevice.build(year=2018, log=small_log)
         # A community-cached query hits...
-        query = next(iter(device.search.cache.query_registry.values()))
+        query = device.search.cache.hashtable.queries()[0]
         result = device.search.measure_hit(query)
         assert result.outcome.hit
         # ...and ads ride along.

@@ -51,6 +51,6 @@ def test_replay_invariants(seed, coverage):
     assert cache.hits == hits
     assert cache.misses == misses
     # Every cached pair's result is fetchable from the database.
-    for query in cache.query_registry.values():
+    for query in cache.hashtable.queries():
         for result_hash, _score, _ in cache.hashtable.slots_for(query):
             assert cache.database.contains(result_hash)

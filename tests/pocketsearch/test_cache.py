@@ -45,7 +45,7 @@ class TestCommunityLoad:
         assert cache.database.n_results == 1
 
     def test_registry_tracks_queries(self, loaded_cache):
-        assert set(loaded_cache.query_registry.values()) == {"youtube", "news"}
+        assert set(loaded_cache.hashtable.queries()) == {"youtube", "news"}
 
 
 class TestPersonalization:

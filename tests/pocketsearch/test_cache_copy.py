@@ -10,6 +10,7 @@ copy.
 
 import dataclasses
 import enum
+import gc
 
 import pytest
 
@@ -101,8 +102,7 @@ def test_copy_equals_a_fresh_cache(content, mode):
     image = make_cache(content, mode)
     clone = image.copy()
     assert state(clone) == state(make_cache(content, mode))
-    assert type(clone.query_registry) is type(image.query_registry)
-    assert clone.query_registry.version == image.query_registry.version
+    assert clone.hashtable.version == image.hashtable.version
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -141,3 +141,22 @@ def test_serving_one_copy_leaves_image_and_other_copies(
     assert state(other) == before
     # A copy carries served state too (access flags, scores, garbage).
     assert state(served.copy()) == state(served)
+
+
+def test_image_copy_allocates_few_tracked_objects():
+    """A device copy of the default community image shares the table's
+    slot tuples and the stored results, so it allocates a few dozen
+    GC-tracked objects, not one per cached entry."""
+    from repro.experiments.common import default_content
+
+    image = make_cache(default_content(), CacheMode.FULL)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        clone = image.copy()
+        allocated = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert clone.hashtable.n_pairs == image.hashtable.n_pairs > 500
+    assert allocated <= 64

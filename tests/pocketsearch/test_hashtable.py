@@ -5,8 +5,10 @@ import pytest
 from repro.pocketsearch.hashtable import (
     DEFAULT_RESULTS_PER_ENTRY,
     QueryHashTable,
+    chain_entries,
     entry_bytes,
     hash64,
+    wire_bytes,
 )
 
 
@@ -67,43 +69,46 @@ class TestInsertLookup:
         with pytest.raises(ValueError):
             table.insert("q", 1, -0.1)
 
-    def test_lookup_counter(self):
-        table = QueryHashTable()
-        table.lookup("a")
-        table.lookup("b")
-        assert table.total_lookups == 2
-
 
 class TestScoresAndFlags:
-    def test_set_score(self):
-        table = QueryHashTable()
-        table.insert("q", 1, 0.5)
-        table.set_score("q", 1, 1.5)
-        assert table.lookup("q") == [(1, 1.5)]
-
-    def test_set_score_missing_raises(self):
-        table = QueryHashTable()
-        with pytest.raises(KeyError):
-            table.set_score("q", 1, 0.5)
-
-    def test_mark_accessed(self):
-        table = QueryHashTable()
-        table.insert("q", 1, 0.5)
-        table.mark_accessed("q", 1)
-        assert table.slots_for("q") == [(1, 0.5, True)]
-
-    def test_flags_word(self):
-        table = QueryHashTable()
-        table.insert("q", 1, 0.5, accessed=False)
-        table.insert("q", 2, 0.4, accessed=True)
-        entry = next(table.entries())
-        assert entry.flags_word() == 0b10
-
     def test_insert_preserves_accessed_flag(self):
         table = QueryHashTable()
         table.insert("q", 1, 0.5, accessed=True)
         table.insert("q", 1, 0.9, accessed=False)
-        assert table.slots_for("q") == [(1, 0.9, True)]
+        assert table.slots_for("q") == ((1, 0.9, True),)
+
+    def test_store_replaces_and_drops(self):
+        table = QueryHashTable()
+        table.insert("q", 1, 0.5)
+        table.store("q", ((1, 1.5, True), (2, 0.2, False)))
+        assert table.lookup("q") == [(1, 1.5), (2, 0.2)]
+        table.store("q", ())
+        assert not table.contains("q")
+        assert table.slots_for("q") == ()
+
+
+class TestQueriesAndVersion:
+    def test_queries_in_first_cached_order(self):
+        table = QueryHashTable()
+        for query in ("b", "a", "c"):
+            table.insert(query, 1, 0.5)
+        table.insert("a", 2, 0.5)
+        assert table.queries() == ["b", "a", "c"]
+        table.remove("b", 1)
+        table.insert("b", 1, 0.5)
+        assert table.queries() == ["a", "c", "b"]
+
+    def test_version_bumps_on_added_or_dropped_query(self):
+        table = QueryHashTable()
+        table.insert("q", 1, 0.5)
+        added = table.version
+        table.insert("q", 2, 0.5)  # a second pair, same query
+        table.insert("q", 1, 0.9)
+        assert table.version == added
+        table.remove("q", 1)
+        assert table.version == added
+        table.remove("q", 2)  # the query's last pair
+        assert table.version > added
 
 
 class TestRemove:
@@ -150,6 +155,19 @@ class TestFootprint:
         table.insert("a", 1, 0.5)
         table.insert("b", 2, 0.5)
         assert table.footprint_bytes == 2 * entry_bytes(2)
+
+    def test_chain_entries_and_wire_bytes(self):
+        assert [chain_entries(n, 2) for n in range(6)] == [0, 1, 1, 2, 2, 3]
+        assert chain_entries(5, 1) == 5
+        # header 9 bytes, entry head 11, slot 13
+        assert wire_bytes(0, 0) == 9
+        assert wire_bytes(3, 5) == 9 + 3 * 11 + 5 * 13
+        table = QueryHashTable(results_per_entry=2)
+        for i in range(5):
+            table.insert("q", i, 0.1)
+        table.insert("r", 9, 0.1)
+        assert table.n_entries == 4
+        assert table.wire_bytes == wire_bytes(4, 6) == len(table.serialize())
 
     def test_default_width_is_two(self):
         assert DEFAULT_RESULTS_PER_ENTRY == 2

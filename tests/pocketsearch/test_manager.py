@@ -53,7 +53,9 @@ class TestRefresh:
     def test_low_score_accessed_pairs_dropped(self, cache):
         cache.record_click("oldnews", "www.oldnews.com")
         # Decay the pair's score below the retention threshold.
-        cache.hashtable.set_score("oldnews", hash64("www.oldnews.com"), 0.01)
+        cache.hashtable.store(
+            "oldnews", ((hash64("www.oldnews.com"), 0.01, True),)
+        )
         server = CacheUpdateServer(retention_min_score=0.05)
         server.refresh_with_content(cache, content([]))
         assert not cache.lookup("oldnews").hit
@@ -116,7 +118,7 @@ class TestRefreshEdgeCases:
         assert patch.pairs_removed == 2  # both community pairs, unaccessed
         assert not cache.lookup("youtube").hit
         assert cache.hashtable.n_pairs == 0
-        assert len(cache.query_registry) == 0
+        assert cache.hashtable.queries() == []
 
     def test_empty_fresh_log_keeps_accessed_entries(self, cache, small_log):
         cache.record_click("youtube", "www.youtube.com")
@@ -166,7 +168,7 @@ class TestRefreshEdgeCases:
         # fresh community entry is live.
         assert engine.serve_query("my bank", "www.mybank.example").outcome.hit
         assert cache.lookup("alpha").hit
-        assert hash64("my bank") in cache.query_registry
+        assert "my bank" in cache.hashtable.queries()
 
     def test_mid_session_update_then_decay_eviction(self, cache):
         """Personal entries survive refreshes only while their score
@@ -178,7 +180,10 @@ class TestRefreshEdgeCases:
         server = CacheUpdateServer(retention_min_score=0.05)
         server.refresh_with_content(cache, content([]))
         assert cache.lookup("my bank").hit
-        cache.hashtable.set_score("my bank", hash64("www.mybank.example"), 0.01)
+        # The personal pair's score decays below retention.
+        bank = hash64("www.mybank.example")
+        assert cache.hashtable.slots_for("my bank")[0][0] == bank
+        cache.hashtable.store("my bank", ((bank, 0.01, True),))
         server.refresh_with_content(cache, content([]))
         assert not cache.lookup("my bank").hit
-        assert hash64("my bank") not in cache.query_registry
+        assert "my bank" not in cache.hashtable.queries()

@@ -34,7 +34,7 @@ class TestEquations:
         ranker = PersonalizedRanker()
         ranker.record_click(table, "new query", 99)
         assert table.lookup("new query") == [(99, 1.0)]
-        assert table.slots_for("new query") == [(99, 1.0, True)]
+        assert table.slots_for("new query") == ((99, 1.0, True),)
 
     def test_click_marks_accessed(self, table):
         PersonalizedRanker().record_click(table, "q", 1)

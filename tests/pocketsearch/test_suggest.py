@@ -96,8 +96,7 @@ class TestEngineIntegration:
 
 class TestUpdateFreshness:
     """A server update that swaps N queries for N different ones keeps
-    the registry the same *size*; only the mutation version reveals the
-    change.  Regression for the stale-suggest bug."""
+    the table the same *size*; only its version reveals the change.  Regression for the stale-suggest bug."""
 
     def _swap_content(self):
         # Same cardinality as make_cache()'s community load: 4 in, 4 out.
@@ -115,13 +114,13 @@ class TestUpdateFreshness:
         from repro.pocketsearch.manager import CacheUpdateServer
 
         cache = make_cache()
-        before = cache.query_registry.version
+        before = cache.hashtable.version
         patch = CacheUpdateServer().refresh_with_content(
             cache, self._swap_content()
         )
-        assert cache.query_registry.version > before
+        assert cache.hashtable.version > before
         assert patch.queries_pruned == 4  # all old queries unaccessed
-        assert len(cache.query_registry) == 4  # same size, new content
+        assert len(cache.hashtable.queries()) == 4  # same size, new content
 
     def test_suggest_fresh_after_equal_size_swap(self):
         from repro.pocketsearch.manager import CacheUpdateServer

@@ -68,7 +68,6 @@ def _server(backend_factory, **config):
 
 async def _burst(server, n_devices, key="shared-miss"):
     """Submit the same key from ``n_devices`` devices at once."""
-    server.start()
     futures = [
         server.submit(ServeRequest(device_id=uid, key=key))
         for uid in range(n_devices)
@@ -135,7 +134,6 @@ class TestBatchedAttributionVirtualClock:
 
         async def scenario():
             server = _server(lambda uid: EnergyStubBackend(radio_s=1.5))
-            server.start()
             first = server.submit(ServeRequest(device_id=0, key="k"))
             # Let the leader's fetch get airborne, then join it.
             await asyncio.sleep(0.5)
@@ -154,7 +152,6 @@ class TestBatchedAttributionVirtualClock:
 
         async def scenario():
             server = _server(lambda uid: EnergyStubBackend(radio_s=0.5))
-            server.start()
             first = server.submit(ServeRequest(device_id=0, key="k"))
             await server.drain()
             second = server.submit(ServeRequest(device_id=1, key="k"))
@@ -175,7 +172,6 @@ class TestBatchedAttributionVirtualClock:
     def test_hits_attribute_without_radio(self):
         async def scenario():
             server = _server(lambda uid: EnergyStubBackend(cached={"q"}))
-            server.start()
             future = server.submit(ServeRequest(device_id=1, key="q"))
             await server.drain()
             reply = future.result()
@@ -197,7 +193,6 @@ class TestBatchedAttributionVirtualClock:
             server = _server(
                 lambda uid: EnergyStubBackend(with_energy=(uid == 1))
             )
-            server.start()
             leader = server.submit(ServeRequest(device_id=0, key="k"))
             await asyncio.sleep(0.1)
             rider = server.submit(ServeRequest(device_id=1, key="k"))

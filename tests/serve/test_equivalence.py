@@ -186,17 +186,3 @@ class TestOverloadDegradation:
         a, _ = run_loadtest(small_log, **kwargs)
         b, _ = run_loadtest(small_log, **kwargs)
         assert a.to_metrics() == b.to_metrics()
-
-    def test_refresh_under_load(self, small_log):
-        """The background refresher runs concurrently with live load
-        without stalling it or losing requests."""
-        report, workload = run_loadtest(
-            small_log,
-            LoadGenConfig(
-                duration_s=600.0, rate_multiplier=200.0, seed=7, max_devices=4
-            ),
-            ServeConfig(queue_depth=16, max_inflight=256),
-            refresh_interval_s=60.0,
-        )
-        assert report.completed + report.shed == report.requests
-        assert report.completed > 0

@@ -1,4 +1,4 @@
-"""Tests for the asyncio cloudlet server: admission, ordering, refresh."""
+"""Tests for the asyncio cloudlet server: admission, ordering, close."""
 
 import asyncio
 
@@ -6,10 +6,6 @@ import pytest
 
 from repro.edge.tier import EdgeTier, EdgeTopology
 from repro.obs.registry import MetricsRegistry
-from repro.pocketsearch.cache import PocketSearchCache
-from repro.pocketsearch.content import CacheContent, CacheEntry
-from repro.pocketsearch.engine import PocketSearchEngine
-from repro.pocketsearch.manager import CacheUpdateServer
 from repro.serve.backends import BackendError, BackendResult, SearchBackend
 from repro.serve.harness import run_loadtest, run_workload
 from repro.serve.loadgen import LoadGenConfig, Workload
@@ -230,143 +226,6 @@ class TestServing:
             ServeConfig(max_inflight=-1)
         with pytest.raises(ValueError):
             ServeConfig(time_scale=-0.1)
-        with pytest.raises(ValueError):
-            ServeConfig(refresh_interval_s=0.0)
-        with pytest.raises(ValueError, match="refresh_fn"):
-            CloudletServer(
-                lambda uid: StubBackend(),
-                ServeConfig(refresh_interval_s=5.0),
-                registry=MetricsRegistry(),
-            )
-
-
-class TestBackgroundRefresh:
-    def test_refresh_runs_without_stalling_serving(self):
-        async def scenario():
-            refreshes = []
-
-            def refresh_fn(device_id, backend):
-                refreshes.append(asyncio.get_running_loop().time())
-
-            server = CloudletServer(
-                lambda uid: StubBackend(cached={"q"}),
-                ServeConfig(queue_depth=8, refresh_interval_s=5.0),
-                registry=MetricsRegistry(),
-                refresh_fn=refresh_fn,
-            )
-            server.start()
-            replies = []
-            for i in range(30):
-                fut = server.submit(_request(key="q", timestamp=float(i)))
-                await asyncio.sleep(1.0)
-                replies.append(fut)
-            await server.drain()
-            await server.close()
-            return server, refreshes, [f.result() for f in replies]
-
-        server, refreshes, replies = run_simulated(scenario())
-        # ~30s of traffic at a 5s refresh period: the scheduler kept
-        # firing and every request still completed promptly.
-        assert len(refreshes) >= 5
-        assert all(isinstance(r, ServeResponse) for r in replies)
-        assert all(r.sojourn_s < 1.0 for r in replies)
-        assert server.registry.counter("serve.refreshes").value == len(refreshes)
-
-    def test_mid_session_refresh_applies_fresh_content(self):
-        """A background refresh lands between two requests of a live
-        session and the second request sees the new community content."""
-        content_a = CacheContent(
-            entries=[CacheEntry("alpha", "www.alpha.com", 10, 0.5, False)],
-            total_log_volume=100,
-        )
-        content_b = CacheContent(
-            entries=[
-                CacheEntry("alpha", "www.alpha.com", 10, 0.5, False),
-                CacheEntry("zebra", "www.zebra.org", 10, 0.5, False),
-            ],
-            total_log_volume=100,
-        )
-
-        async def scenario():
-            update_server = CacheUpdateServer()
-
-            def factory(uid):
-                cache = PocketSearchCache()
-                cache.load_community(content_a)
-                return SearchBackend(PocketSearchEngine(cache))
-
-            def refresh_fn(device_id, backend):
-                update_server.refresh_with_content(
-                    backend.engine.cache, content_b
-                )
-
-            server = CloudletServer(
-                factory,
-                ServeConfig(queue_depth=8, refresh_interval_s=10.0),
-                registry=MetricsRegistry(),
-                refresh_fn=refresh_fn,
-            )
-            server.start()
-            before = server.submit(
-                ServeRequest(device_id=1, key="zebra", clicked_url="www.other.com")
-            )
-            await asyncio.sleep(15.0)  # refresh fires at t=10
-            after = server.submit(
-                ServeRequest(device_id=1, key="zebra", clicked_url="www.zebra.org")
-            )
-            await server.drain()
-            await server.close()
-            return before.result(), after.result()
-
-        before, after = run_simulated(scenario())
-        assert not before.outcome.hit
-        assert after.outcome.hit
-
-    def test_refresh_waits_for_inflight_request(self):
-        """The refresher takes the session lock, so it can never observe
-        (or mutate) a backend mid-``serve``."""
-
-        class LockProbeBackend(StubBackend):
-            def __init__(self):
-                super().__init__(cached={"q"})
-                self.refreshed_during_serve = False
-                self.in_serve = False
-
-            def serve(self, request):
-                self.in_serve = True
-                try:
-                    return super().serve(request)
-                finally:
-                    self.in_serve = False
-
-        async def scenario():
-            backends = {}
-
-            def factory(uid):
-                backends[uid] = LockProbeBackend()
-                return backends[uid]
-
-            def refresh_fn(device_id, backend):
-                if backend.in_serve:
-                    backend.refreshed_during_serve = True
-
-            server = CloudletServer(
-                factory,
-                ServeConfig(queue_depth=8, refresh_interval_s=0.05),
-                registry=MetricsRegistry(),
-                refresh_fn=refresh_fn,
-            )
-            server.start()
-            for i in range(50):
-                server.submit(_request(device_id=1, key="q"))
-                await asyncio.sleep(0.05)
-            await server.drain()
-            await server.close()
-            return backends[1]
-
-        backend = run_simulated(scenario())
-        assert backend.served  # traffic actually flowed
-        assert backend.refreshed_during_serve is False
 
 
 class TestDrain:
@@ -405,6 +264,85 @@ class TestDrain:
         assert isinstance(replies[1], Overloaded)
         assert replies[1].reason == "edge-queue-full"
         assert inflight == 0
+
+
+class TestClose:
+    """Closing the server resolves every admitted request still queued or
+    in service with a typed ``server-closed`` shed; none is abandoned."""
+
+    @staticmethod
+    async def _close_with_pending(server, keys, timeout=3600.0):
+        futures = [server.submit(_request(key=k)) for k in keys]
+        await asyncio.sleep(0)  # the worker takes the first request
+        drain = asyncio.ensure_future(server.drain())
+        await server.close()
+        replies = [await asyncio.wait_for(f, timeout) for f in futures]
+        await asyncio.wait_for(drain, timeout)
+        registry = server.registry
+        counts = {
+            name: registry.counter("serve." + name).value
+            for name in ("requests", "completed", "shed", "shed.server_closed")
+        }
+        return replies, server.inflight, counts
+
+    def _check(self, result, n):
+        replies, inflight, counts = result
+        assert all(isinstance(r, Overloaded) for r in replies)
+        assert [r.reason for r in replies] == ["server-closed"] * n
+        assert inflight == 0
+        assert counts["requests"] == n
+        assert counts["shed"] == counts["shed.server_closed"] == n
+        assert counts["completed"] + counts["shed"] == counts["requests"]
+
+    def test_queued_and_in_service_requests_resolve(self):
+        server = CloudletServer(
+            lambda uid: StubBackend(cached={"a", "b", "c"}),
+            registry=MetricsRegistry(),
+        )
+        result = run_simulated(
+            asyncio.wait_for(
+                self._close_with_pending(server, ["a", "b", "c"]), 7200
+            )
+        )
+        self._check(result, 3)
+        # The telemetry windows count each request once, as shed.
+        rolling = server.telemetry.rolling(0.0)
+        assert (rolling["requests"], rolling["shed"]) == (3, 3)
+
+    def test_wall_clock(self):
+        server = CloudletServer(
+            lambda uid: StubBackend(cached={"a", "b", "c"}),
+            registry=MetricsRegistry(),
+        )
+        result = asyncio.run(
+            self._close_with_pending(server, ["a", "b", "c"], timeout=10.0)
+        )
+        self._check(result, 3)
+
+    def test_request_in_the_miss_batcher_resolves(self):
+        server = CloudletServer(
+            lambda uid: StubBackend(), registry=MetricsRegistry()
+        )
+        result = run_simulated(
+            asyncio.wait_for(
+                self._close_with_pending(server, ["miss", "next"]), 7200
+            )
+        )
+        self._check(result, 2)
+        assert server.batcher.inflight == 0
+
+    def test_request_in_the_edge_hop_resolves(self):
+        server = CloudletServer(
+            lambda uid: StubBackend(),
+            registry=MetricsRegistry(),
+            edge=EdgeTier(EdgeTopology(n_nodes=1)),
+        )
+        result = run_simulated(
+            asyncio.wait_for(
+                self._close_with_pending(server, ["miss", "next"]), 7200
+            )
+        )
+        self._check(result, 2)
 
 
 class FailingBackend(StubBackend):
