@@ -304,65 +304,77 @@ def _select_pairs(
     in ascending pair id: ``counts`` is the pair's volume (int64),
     ``rows`` any row of ``log`` holding the pair, and ``query_totals``
     the window volume of the pair's query.
+
+    Every threshold but the flash budget is a function of the pair's
+    position in volume order, so the walk's stop is the first position
+    where one of them holds.  Array division of the int64 volumes equals
+    Python's int division while volumes stay below 2**53.  The flash
+    budget depends on which URLs earlier pairs took, so the entry loop
+    checks it over the prefix that the others leave.
     """
     if not len(counts):
         return CacheContent(entries=[], total_log_volume=0)
     order = _volume_order(counts)
     volumes = counts[order]
-    rows = rows[order]
-    query_totals = query_totals[order]
     total_volume = int(volumes.sum())
+    n = len(volumes)
+
+    stops = [n]
+    if policy.saturation_volume is not None:
+        stops.append(
+            _first(volumes / total_volume < policy.saturation_volume)
+        )
+    if policy.max_pairs is not None:
+        stops.append(max(policy.max_pairs, 0))
+    if policy.target_coverage is not None:
+        covered = np.cumsum(volumes) - volumes  # volume before each pair
+        stops.append(_first(covered / total_volume >= policy.target_coverage))
+    if policy.max_dram_bytes is not None:
+        stops.append(
+            _first(
+                np.arange(1, n + 1) * APPROX_DRAM_BYTES_PER_PAIR
+                > policy.max_dram_bytes
+            )
+        )
+    taken = order[: min(stops)]
+    rows = rows[taken]
 
     entries: List[CacheEntry] = []
-    covered = 0
+    max_flash = policy.max_flash_bytes
     flash_bytes = 0
     seen_urls: Dict[str, bool] = {}
-    for i in range(len(order)):
-        volume = int(volumes[i])
-        normalized = volume / total_volume
-        if (
-            policy.saturation_volume is not None
-            and normalized < policy.saturation_volume
-        ):
-            break
-        if policy.max_pairs is not None and len(entries) >= policy.max_pairs:
-            break
-        if (
-            policy.target_coverage is not None
-            and covered / total_volume >= policy.target_coverage
-        ):
-            break
-        row = rows[i]
-        rkey = int(log.result_keys[row])
+    for qkey, rkey, navigational, volume, query_total in zip(
+        log.query_keys[rows].tolist(),
+        log.result_keys[rows].tolist(),
+        log.navigational[rows].tolist(),
+        volumes[: len(taken)].tolist(),
+        query_totals[taken].tolist(),
+    ):
         url = log.result_url(rkey)
         record_bytes = result_record_bytes(log, rkey)
-        added_flash = 0 if url in seen_urls else record_bytes
-        if (
-            policy.max_flash_bytes is not None
-            and flash_bytes + added_flash > policy.max_flash_bytes
-        ):
-            break
-        if (
-            policy.max_dram_bytes is not None
-            and (len(entries) + 1) * APPROX_DRAM_BYTES_PER_PAIR
-            > policy.max_dram_bytes
-        ):
-            break
+        if max_flash is not None and url not in seen_urls:
+            if flash_bytes + record_bytes > max_flash:
+                break
+            flash_bytes += record_bytes
+            seen_urls[url] = True
         entries.append(
             CacheEntry(
-                query=log.query_string(int(log.query_keys[row])),
+                query=log.query_string(qkey),
                 url=url,
                 volume=volume,
-                score=volume / int(query_totals[i]),
-                navigational=bool(log.navigational[row]),
+                score=volume / query_total,
+                navigational=navigational,
                 record_bytes=record_bytes,
             )
         )
-        covered += volume
-        flash_bytes += added_flash
-        seen_urls[url] = True
 
     return CacheContent(entries=entries, total_log_volume=total_volume)
+
+
+def _first(mask: np.ndarray) -> int:
+    """Position of the first true element of ``mask``, else its length."""
+    at = int(np.argmax(mask))
+    return at if mask[at] else len(mask)
 
 
 def result_record_bytes(log: SearchLog, result_key: int) -> int:

@@ -15,7 +15,8 @@ Optionally applies daily server updates during the replay (Section
 6.2.2), refreshing the community component from a trailing log window.
 
 Each user is served by the batch engine (:mod:`repro.sim.vectorized`),
-which evaluates a whole stream as array operations.  While the tracer
+which serves a whole stream in one pass over integer ids and prices its
+hits in one array evaluation.  While the tracer
 records, users are served event by event through a
 :class:`PocketSearchEngine` instead (:func:`replay_user`): that path
 opens the per-query spans, and the differential tests hold the batch

@@ -6,9 +6,10 @@ The scalar harness serves one event at a time: each
 lookups, builds dataclasses, and walks the hash-table/ranker/database
 object graph.  All of that work is *deterministic arithmetic* over the
 event stream — the cost model is pure page math, the miss cost is a
-constant, and hit/miss classification is a membership function — so a
-whole user's stream can be evaluated as numpy array operations plus a
-small per-query "mini-sim" for ranking state.
+constant, and hit/miss classification is a membership function.  So a
+user's keys are mapped to integer ids once, the whole stream is served
+in one pass over flat slot lists and dicts, and every hit's cost is
+priced in one numpy evaluation after the pass.
 
 Bit-identity, not approximation:
 
@@ -17,9 +18,11 @@ Bit-identity, not approximation:
   expressions here mirror the scalar code's left-to-right grouping);
 * flash read costs are replicated from the page arithmetic of
   :class:`~repro.storage.filesystem.FlashFilesystem` /
-  :class:`~repro.pocketsearch.database.ResultDatabase`;
-* ranking-score evolution (Equations 1-2) is replayed per (user, query)
-  group with the same ``math.exp`` decay and stable top-2 sort;
+  :class:`~repro.pocketsearch.database.ResultDatabase`: a hit records
+  where its two results are stored and how many entries their files
+  hold before the event's click, which is all a fetch's cost reads;
+* ranking-score evolution (Equations 1-2) is replayed event by event
+  with the same ``math.exp`` decay and stable top-2 sort;
 * outcomes are fed to the same :class:`MetricsCollector` in stream
   order, so the two paths' outcome lists are equal element by element;
   a user's outcome objects are built only when the collector's
@@ -31,14 +34,14 @@ daily updates the base is the initial community content.  With them
 (Section 6.2.2) every user gets the same mined content each night, so
 each day's content is merged once per universe into a :class:`_DayPlan`:
 its slots as a cache with no retained pairs holds them, its results,
-its table size and its diff from the day before.  Between the day
-segments of a user's stream, a refresh keeps the overlay's accessed
-pairs at or above the retention score, merges the day's slots into
-those queries only, swaps the plan in as the base and applies its diff
-to the user's result database.  It costs the user's touched queries
-plus the day's churn, not the cache's size, and its
-:class:`UpdatePatch` accounting and database compactions equal
-:meth:`CacheUpdateServer.refresh_with_content` on a real cache.
+its table size and its diff from the day before.  Before the first
+event of each day, a refresh keeps the overlay's accessed pairs at or
+above the retention score, merges the day's slots into those queries
+only, swaps the plan in as the base and applies its diff to the user's
+result database.  It costs the user's touched queries plus the day's
+churn, not the cache's size, and its :class:`UpdatePatch` accounting and
+database compactions equal :meth:`CacheUpdateServer.refresh_with_content`
+on a real cache.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -61,7 +65,6 @@ from repro.pocketsearch.database import (
 )
 from repro.pocketsearch.engine import (
     MISC_LATENCY_S,
-    RESULTS_PER_PAGE,
     _SOURCE_BY_RADIO,
     PocketSearchEngine,
 )
@@ -106,7 +109,6 @@ class EngineCostModel:
         self.render_energy_j = browser.render_energy_j(self.render_s)
         self.base_power_w = engine.base_power_w
         self.misc_s = MISC_LATENCY_S
-        self.top_k = RESULTS_PER_PAGE
 
         request = (
             engine.radio,
@@ -161,35 +163,17 @@ class EngineCostModel:
         ) + self.open_j
         return latency, energy
 
-    def fetch_cost(
-        self, entries: int, offset: int, nbytes: int
-    ) -> Tuple[float, float]:
-        """(latency, energy) of one database fetch, scalar path.
-
-        Mirrors :meth:`ResultDatabase.fetch` exactly, including the
-        skipped header read on an empty file.
-        """
-        latency = self.dir_scan_s
-        energy = 0.0
-        if entries > 0:
-            h_lat, h_en = self.read_cost(0, entries * self.header_entry_bytes)
-            latency += h_lat
-            energy += h_en
-        latency += entries * self.header_parse_s
-        r_lat, r_en = self.read_cost(offset, nbytes)
-        latency += r_lat
-        energy += r_en
-        return latency, energy
-
     def fetch_cost_arrays(
         self, entries: np.ndarray, offsets: np.ndarray, nbytes: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`fetch_cost` over int64 arrays.
+        """(latency, energy) of database fetches, over int64 arrays of
+        file entries, record offsets and record sizes.
 
-        Every intermediate mirrors the scalar association order; adding a
-        0.0 header term for empty files is exact (x + 0.0 == x for the
-        finite non-negative costs involved), so results are bitwise equal
-        to the scalar path.
+        Mirrors :meth:`ResultDatabase.fetch` exactly, including the
+        skipped header read on an empty file.  Every intermediate keeps
+        the scalar association order; adding a 0.0 header term for empty
+        files is exact (x + 0.0 == x for the finite non-negative costs
+        involved), so results are bitwise equal to the scalar path.
         """
         page = self.page_bytes
         header_bytes = entries * self.header_entry_bytes
@@ -303,7 +287,6 @@ class ReplayUniverse:
 
         self._file_of: Dict[int, int] = {}
         self._qstr: Dict[int, str] = {}
-        self._static_cost: Dict[int, Tuple[float, float]] = {}
         self._day_plans: Optional[
             Tuple[List[CacheContent], List[_DayPlan]]
         ] = None
@@ -520,13 +503,12 @@ class _UserCacheState:
     """
 
     __slots__ = (
-        "universe", "daily", "base", "slots", "db", "base_db",
+        "universe", "base", "slots", "db", "base_db",
         "file_sizes", "file_entries", "garbage",
     )
 
     def __init__(self, universe: ReplayUniverse, daily: bool) -> None:
         self.universe = universe
-        self.daily = daily
         self.base = universe.initial
         self.slots: Dict[int, List[List]] = {}
         if daily:
@@ -538,32 +520,6 @@ class _UserCacheState:
         self.file_sizes = list(universe.file_sizes0)
         self.file_entries = list(universe.file_entries0)
         self.garbage = 0
-
-    def has_query(self, qid: int) -> bool:
-        return qid in self.slots or qid in self.base.slots
-
-    def slots_of(self, qid: int) -> Optional[List[List]]:
-        found = self.slots.get(qid)
-        if found is not None:
-            return found
-        return self.base.slots.get(qid)
-
-    def mutable_slots(self, qid: int) -> List[List]:
-        found = self.slots.get(qid)
-        if found is None:
-            base = self.base.slots.get(qid)
-            found = [list(slot) for slot in base] if base else []
-            self.slots[qid] = found
-        return found
-
-    def contains_result(self, rid: int) -> bool:
-        return rid in self.db or rid in self.base_db
-
-    def locate(self, rid: int) -> Tuple[int, int, int]:
-        found = self.db.get(rid)
-        if found is not None:
-            return found
-        return self.base_db[rid]
 
     def add_result(self, rid: int, record_bytes: int) -> Tuple[int, int, int]:
         file_index = self.universe.file_of(rid)
@@ -580,195 +536,6 @@ class _UserCacheState:
         file_index, _offset, record_bytes = self.db.pop(rid)
         self.file_entries[file_index] -= 1
         self.garbage += record_bytes + self.universe.costs.header_entry_bytes
-
-
-# -- batch service ----------------------------------------------------------
-
-
-def _serve_segment(
-    state: _UserCacheState,
-    qid: np.ndarray,
-    rid: np.ndarray,
-    rkeys: np.ndarray,
-    personalized: bool,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch-serve one refresh-free segment of a user's stream.
-
-    Returns (hit, latency, energy) arrays.  Mutates ``state`` exactly as
-    the scalar engine's click path would (personalized mode only).
-    """
-    costs = state.universe.costs
-    n = len(qid)
-    unique_q, first_q_idx, inv_q = np.unique(
-        qid, return_index=True, return_inverse=True
-    )
-    present0 = np.fromiter(
-        (state.has_query(int(u)) for u in unique_q),
-        dtype=bool,
-        count=len(unique_q),
-    )
-    if personalized:
-        first_mask = np.zeros(n, dtype=bool)
-        first_mask[first_q_idx] = True
-        hit = present0[inv_q] | ~first_mask
-    else:
-        hit = present0[inv_q]
-
-    if not personalized:
-        latency = np.full(n, costs.miss_latency_s)
-        energy = np.full(n, costs.miss_energy_j)
-        static = state.universe._static_cost if not state.daily else None
-        for g, u in enumerate(unique_q.tolist()):
-            if not present0[g]:
-                continue
-            cost = static.get(u) if static is not None else None
-            if cost is None:
-                cost = _static_hit_cost(state, u)
-                if static is not None:
-                    static[u] = cost
-            rows = inv_q == g
-            latency[rows] = cost[0]
-            energy[rows] = cost[1]
-        return hit, latency, energy
-
-    # Personalization on: the click path adds clicked results to the
-    # database (first click of a result not yet stored).
-    record_bytes = state.universe.record_bytes_of(rkeys)
-    _unique_r, first_r_idx = np.unique(rid, return_index=True)
-    added_rows = sorted(
-        int(i) for i in first_r_idx.tolist()
-        if not state.contains_result(int(rid[i]))
-    )
-    n_files = costs.n_files
-    sizes_delta = np.zeros((n + 1, n_files), dtype=np.int64)
-    counts_delta = np.zeros((n + 1, n_files), dtype=np.int64)
-    add_files = [state.universe.file_of(int(rid[i])) for i in added_rows]
-    for i, file_index in zip(added_rows, add_files):
-        sizes_delta[i + 1, file_index] = (
-            int(record_bytes[i]) + costs.header_entry_bytes
-        )
-        counts_delta[i + 1, file_index] = 1
-    base_sizes = np.asarray(state.file_sizes, dtype=np.int64)
-    base_counts = np.asarray(state.file_entries, dtype=np.int64)
-    sizes_before = base_sizes + np.cumsum(sizes_delta, axis=0)[:n]
-    counts_before = base_counts + np.cumsum(counts_delta, axis=0)[:n]
-    # Register the adds (stream order keeps the database's insertion
-    # order identical to the scalar path, which compaction depends on).
-    for i, file_index in zip(added_rows, add_files):
-        state.db[int(rid[i])] = (
-            file_index,
-            int(sizes_before[i, file_index]),
-            int(record_bytes[i]),
-        )
-    state.file_sizes = (
-        base_sizes + np.sum(sizes_delta, axis=0)
-    ).tolist()
-    state.file_entries = (
-        base_counts + np.sum(counts_delta, axis=0)
-    ).tolist()
-
-    # Ranking mini-sim per query group: stable top-2 selection before
-    # each click, then the Equations (1)-(2) score updates.
-    top1 = np.full(n, -1, dtype=np.int64)
-    top2 = np.full(n, -1, dtype=np.int64)
-    decay = costs.decay
-    order = np.argsort(inv_q, kind="stable")
-    counts = np.bincount(inv_q, minlength=len(unique_q))
-    boundaries = np.cumsum(counts)
-    start = 0
-    rid_list = rid.tolist()
-    hit_list = hit.tolist()
-    for g, stop in enumerate(boundaries.tolist()):
-        rows = order[start:stop]
-        start = stop
-        slots = state.mutable_slots(int(unique_q[g]))
-        for i in rows.tolist():
-            if hit_list[i]:
-                if len(slots) == 1:
-                    top1[i] = slots[0][0]
-                elif len(slots) == 2:
-                    a, b = slots
-                    if b[1] > a[1]:
-                        top1[i], top2[i] = b[0], a[0]
-                    else:
-                        top1[i], top2[i] = a[0], b[0]
-                else:
-                    ranked = sorted(
-                        slots, key=lambda slot: slot[1], reverse=True
-                    )
-                    top1[i] = ranked[0][0]
-                    top2[i] = ranked[1][0]
-            clicked = rid_list[i]
-            clicked_slot = None
-            for slot in slots:
-                if slot[0] == clicked:
-                    clicked_slot = slot
-                else:
-                    slot[1] = slot[1] * decay
-            if clicked_slot is not None:
-                clicked_slot[1] = clicked_slot[1] + 1.0
-                clicked_slot[2] = True
-            else:
-                slots.append([clicked, 1.0, True])
-
-    # Vectorized fetch costing over the hit rows.
-    latency = np.full(n, costs.miss_latency_s)
-    energy = np.full(n, costs.miss_energy_j)
-    hit_rows = np.flatnonzero(hit)
-    if len(hit_rows):
-        n_hits = len(hit_rows)
-        f1 = np.empty(n_hits, dtype=np.int64)
-        o1 = np.empty(n_hits, dtype=np.int64)
-        b1 = np.empty(n_hits, dtype=np.int64)
-        f2 = np.zeros(n_hits, dtype=np.int64)
-        o2 = np.zeros(n_hits, dtype=np.int64)
-        b2 = np.zeros(n_hits, dtype=np.int64)
-        locate = state.locate
-        top1_list = top1.tolist()
-        top2_list = top2.tolist()
-        for k, i in enumerate(hit_rows.tolist()):
-            f1[k], o1[k], b1[k] = locate(top1_list[i])
-            second = top2_list[i]
-            if second >= 0:
-                f2[k], o2[k], b2[k] = locate(second)
-        e1 = counts_before[hit_rows, f1]
-        lat1, en1 = costs.fetch_cost_arrays(e1, o1, b1)
-        has2 = top2[hit_rows] >= 0
-        e2 = counts_before[hit_rows, f2]
-        lat2, en2 = costs.fetch_cost_arrays(e2, o2, b2)
-        fetch_lat = lat1 + np.where(has2, lat2, 0.0)
-        fetch_en = en1 + np.where(has2, en2, 0.0)
-        hit_lat, hit_en = costs.hit_cost_arrays(fetch_lat, fetch_en)
-        latency[hit_rows] = hit_lat
-        energy[hit_rows] = hit_en
-    return hit, latency, energy
-
-
-def _static_hit_cost(
-    state: _UserCacheState, qid: int
-) -> Tuple[float, float]:
-    """Hit cost of a query whose slots and database are static.
-
-    Community-only mode never mutates scores or the database between
-    refreshes, so each cached query has one constant (latency, energy).
-    """
-    costs = state.universe.costs
-    slots = state.slots_of(qid)
-    ranked = sorted(slots, key=lambda slot: slot[1], reverse=True)
-    fetch_lat = 0.0
-    fetch_en = 0.0
-    for slot in ranked[: costs.top_k]:
-        file_index, offset, record_bytes = state.locate(slot[0])
-        lat, en = costs.fetch_cost(
-            state.file_entries[file_index], offset, record_bytes
-        )
-        fetch_lat += lat
-        fetch_en += en
-    latency = ((costs.lookup_s + fetch_lat) + costs.render_s) + costs.misc_s
-    energy = (
-        latency * costs.base_power_w + fetch_en
-    ) + costs.render_energy_j
-    return latency, energy
 
 
 # -- daily refresh ----------------------------------------------------------
@@ -936,53 +703,114 @@ def _replay_user_arrays(
     t_start: float,
     patches_out: Optional[List[UpdatePatch]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hit, latency, energy) arrays of one user's replay."""
+    """(hit, latency, energy) arrays of one user's replay.
+
+    One pass serves the events in stream order, as the scalar engine
+    does.  Before each event, every refresh up to the event's day runs,
+    skipped days included.  A hit takes the query's two best slots, the
+    way the scalar ranker's stable sort orders them, and notes where
+    each result is stored and how many entries its file holds before the
+    event's click.  The click then rescores the slots (Equations 1-2) and
+    stores a result the database lacks.  After the pass, every hit is
+    priced in one array evaluation.
+    """
     from repro.sim.replay import CacheMode
 
-    personalized = mode != CacheMode.COMMUNITY_ONLY
     n = len(events)
     if n == 0:
         empty = np.zeros(0)
         return empty.astype(bool), empty, empty
-    qid = universe.map_qkeys(events["query_key"])
-    rid = universe.map_rkeys(events["result_key"])
-    rkeys = events["result_key"]
+    costs = universe.costs
+    personalized = mode != CacheMode.COMMUNITY_ONLY
+    qids = universe.map_qkeys(events["query_key"]).tolist()
+    if personalized:
+        rkeys = events["result_key"]
+        rids = universe.map_rkeys(rkeys).tolist()
+        record_bytes = universe.record_bytes_of(rkeys).tolist()
+    state = _UserCacheState(universe, daily=bool(daily_contents))
+    plans = universe.day_plans(daily_contents) if daily_contents else []
+    if plans:
+        days = np.minimum(
+            ((events["timestamp"] - t_start) // DAY_SECONDS).astype(np.int64),
+            len(plans) - 1,
+        ).tolist()
+    else:
+        days = [-1] * n  # no refreshes
 
-    if not daily_contents:
-        state = _UserCacheState(universe, daily=False)
-        return _serve_segment(state, qid, rid, rkeys, personalized)
-
-    # Daily updates: split the stream into day segments, refreshing
-    # between them (including skipped days, in order), exactly as the
-    # scalar loop does.
-    plans = universe.day_plans(daily_contents)
-    state = _UserCacheState(universe, daily=True)
-    timestamps = events["timestamp"]
-    event_day = np.minimum(
-        ((timestamps - t_start) // DAY_SECONDS).astype(np.int64),
-        len(daily_contents) - 1,
-    )
-    hits: List[np.ndarray] = []
-    lats: List[np.ndarray] = []
-    ens: List[np.ndarray] = []
+    decay = costs.decay
     day = 0
-    boundaries = np.flatnonzero(np.diff(event_day)) + 1
-    starts = np.concatenate(([0], boundaries)).tolist()
-    stops = np.concatenate((boundaries, [n])).tolist()
-    for lo, hi in zip(starts, stops):
-        segment_day = int(event_day[lo])
-        while day <= segment_day:
-            patch = _refresh_state(state, plans[day])
-            if patches_out is not None:
-                patches_out.append(patch)
-            day += 1
-        hit, lat, en = _serve_segment(
-            state, qid[lo:hi], rid[lo:hi], rkeys[lo:hi], personalized
+    overlay, base_slots = state.slots, state.base.slots
+    db, base_db, file_entries = state.db, state.base_db, state.file_entries
+    # One row per hit: (event, then entries, offset and bytes of the
+    # first result, a second-result flag and the second's three).
+    rows: List[Tuple[int, ...]] = []
+    for i, (qid, event_day) in enumerate(zip(qids, days)):
+        if event_day >= day:
+            while day <= event_day:
+                patch = _refresh_state(state, plans[day])
+                if patches_out is not None:
+                    patches_out.append(patch)
+                day += 1
+            overlay, base_slots = state.slots, state.base.slots
+            db, file_entries = state.db, state.file_entries
+        slots = overlay.get(qid)
+        if slots is None:
+            slots = base_slots.get(qid)
+            if personalized:
+                slots = [list(slot) for slot in slots] if slots else []
+                overlay[qid] = slots
+        if slots:
+            if len(slots) == 1:
+                first, second = slots[0][0], None
+            elif len(slots) == 2:
+                a, b = slots
+                first, second = (b[0], a[0]) if b[1] > a[1] else (a[0], b[0])
+            else:
+                ranked = sorted(slots, key=itemgetter(1), reverse=True)
+                first, second = ranked[0][0], ranked[1][0]
+            file1, offset1, bytes1 = db.get(first) or base_db[first]
+            if second is None:
+                rows.append(
+                    (i, file_entries[file1], offset1, bytes1, 0, 0, 0, 0)
+                )
+            else:
+                file2, offset2, bytes2 = db.get(second) or base_db[second]
+                rows.append((
+                    i, file_entries[file1], offset1, bytes1,
+                    1, file_entries[file2], offset2, bytes2,
+                ))
+        if not personalized:
+            continue
+        clicked = rids[i]
+        clicked_slot = None
+        for slot in slots:
+            if slot[0] == clicked:
+                clicked_slot = slot
+            else:
+                slot[1] = slot[1] * decay
+        if clicked_slot is not None:
+            clicked_slot[1] = clicked_slot[1] + 1.0
+            clicked_slot[2] = True
+        else:
+            slots.append([clicked, 1.0, True])
+        if clicked not in db and clicked not in base_db:
+            state.add_result(clicked, record_bytes[i])
+
+    hit = np.zeros(n, dtype=bool)
+    latency = np.full(n, costs.miss_latency_s)
+    energy = np.full(n, costs.miss_energy_j)
+    if rows:
+        row, e1, o1, b1, has2, e2, o2, b2 = np.array(rows, dtype=np.int64).T
+        lat1, en1 = costs.fetch_cost_arrays(e1, o1, b1)
+        lat2, en2 = costs.fetch_cost_arrays(e2, o2, b2)
+        has2 = has2.astype(bool)
+        hit_lat, hit_en = costs.hit_cost_arrays(
+            lat1 + np.where(has2, lat2, 0.0), en1 + np.where(has2, en2, 0.0)
         )
-        hits.append(hit)
-        lats.append(lat)
-        ens.append(en)
-    return np.concatenate(hits), np.concatenate(lats), np.concatenate(ens)
+        hit[row] = True
+        latency[row] = hit_lat
+        energy[row] = hit_en
+    return hit, latency, energy
 
 
 def _emit_outcomes(

@@ -8,8 +8,14 @@ is hashed, and so is each user's final table shape (entries, footprint,
 wire length) and hit/miss count.  The digest pins what a rewrite of the
 hash table, the cache or the update server must leave unchanged.
 
-Tier-1 checks seed 7.  Seeds 1 and 4099 are too slow for the suite;
-``--all-seeds`` checks them, and a mismatch exits 1::
+Each (mode, user) is also replayed by the batch engine
+(:func:`replay_user_vectorized` with ``collect_patches=True``).  Its
+patches, written as the per-event records, and its outcomes must equal
+the per-event run's.
+
+Tier-1 checks seed 7.  Seeds 1 and 4099, the logs perfbench replays, are
+too slow for the suite; ``--all-seeds`` checks them, and a digest or a
+batch mismatch exits 1::
 
     PYTHONPATH=src python -m tests.pocketsearch.test_update_digest --all-seeds
 """
@@ -30,7 +36,7 @@ from repro.sim.replay import (
     make_cache,
     select_replay_users,
 )
-from repro.sim.vectorized import month_content
+from repro.sim.vectorized import month_content, replay_user_vectorized
 
 USERS_PER_CLASS = 3
 MODES = (CacheMode.FULL, CacheMode.COMMUNITY_ONLY)
@@ -47,8 +53,13 @@ PINNED = {
 
 
 def update_records(seed):
-    """One repr per UpdatePatch and per user's final state, in replay
-    order (mode, then class and user id, then day)."""
+    """``(records, batch_mismatches)``.
+
+    ``records`` holds one repr per UpdatePatch and per user's final
+    state, in replay order (mode, then class and user id, then day).
+    ``batch_mismatches`` names each (mode, user) whose batch replay
+    differs from the per-event run in its patches or its outcomes.
+    """
     log = default_log(seed=seed)
     config = ReplayConfig(users_per_class=USERS_PER_CLASS, daily_updates=True)
     content = month_content(
@@ -59,16 +70,18 @@ def update_records(seed):
         log, config.replay_month, USERS_PER_CLASS, config.seed
     )
     t_start = config.replay_month * MONTH_SECONDS
+    t_end = t_start + MONTH_SECONDS
     records = []
+    mismatches = []
     for mode in MODES:
         for user_class, uids in selected.items():
             for uid in uids:
                 cache = make_cache(content, mode)
                 engine = PocketSearchEngine(cache)
                 server = CacheUpdateServer()
-                stream = log.for_user(uid).window(
-                    t_start, t_start + MONTH_SECONDS
-                )
+                stream = log.for_user(uid).window(t_start, t_end)
+                patch_records = []
+                outcomes = []
                 day = 0
                 for i in range(stream.n_events):
                     t = float(stream.timestamps[i])
@@ -77,23 +90,39 @@ def update_records(seed):
                     )
                     while day <= event_day:
                         patch = server.refresh_with_content(cache, daily[day])
-                        records.append(f"{mode} {uid} day {day} {patch!r}")
+                        patch_records.append(
+                            f"{mode} {uid} day {day} {patch!r}"
+                        )
                         day += 1
                     rkey = int(stream.result_keys[i])
-                    engine.serve_query(
+                    result = engine.serve_query(
                         query=stream.query_string(int(stream.query_keys[i])),
                         clicked_url=stream.result_url(rkey),
                         record_bytes=result_record_bytes(stream, rkey),
                         navigational=bool(stream.navigational[i]),
                         timestamp=t,
                     )
+                    outcomes.append(result.outcome)
+                records.extend(patch_records)
+                metrics, patches = replay_user_vectorized(
+                    log, content, daily, mode, uid, t_start, t_end,
+                    collect_patches=True,
+                )
+                batch_records = [
+                    f"{mode} {uid} day {day} {patch!r}"
+                    for day, patch in enumerate(patches)
+                ]
+                if batch_records != patch_records:
+                    mismatches.append(f"{mode} {uid} patches")
+                if metrics.outcomes != outcomes:
+                    mismatches.append(f"{mode} {uid} outcomes")
                 table = cache.hashtable
                 records.append(
                     f"{mode} {user_class.value} {uid} final "
                     f"{table.n_entries} {table.footprint_bytes} "
                     f"{len(table.serialize())} {cache.hits} {cache.misses}"
                 )
-    return records
+    return records, mismatches
 
 
 def digest(records):
@@ -105,19 +134,30 @@ def digest(records):
 
 
 def test_update_patches_match_pinned_digest():
-    assert digest(update_records(7)) == PINNED[7]
+    records, mismatches = update_records(7)
+    assert digest(records) == PINNED[7]
+    assert mismatches == []
 
 
 def _main(argv):
     seeds = [1, 4099] if argv == ["--all-seeds"] else [7]
     failed = []
     for seed in seeds:
-        got = digest(update_records(seed))
-        print(f"seed {seed}: {got[0]} ({got[1]} records)")
-        if got != PINNED[seed]:
+        records, mismatches = update_records(seed)
+        got = digest(records)
+        print(
+            f"seed {seed}: {got[0]} ({got[1]} records), "
+            f"{len(mismatches)} batch mismatches"
+        )
+        for mismatch in mismatches:
+            print(f"  batch engine differs: {mismatch}", file=sys.stderr)
+        if got != PINNED[seed] or mismatches:
             failed.append(seed)
     if failed:
-        print(f"UpdatePatch digests differ at seeds {failed}", file=sys.stderr)
+        print(
+            f"UpdatePatch digests or batch replays differ at seeds {failed}",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

@@ -1,17 +1,18 @@
 """Vectorized/scalar refresh-seam coverage.
 
-The vectorized engine batch-evaluates the refresh-free segments of a
-user's stream.  At each daily-update boundary it swaps in that day's
-per-day plan (the day's mined content, merged once per universe, with
-its diff from the day before) and refreshes only the user's
-copy-on-write overlay plus the day's churn, in place of
-``CacheUpdateServer.refresh_with_content`` on a whole cache.  These
-tests pin the seam itself:
+The vectorized engine serves a user's stream in one pass and prices
+every hit in one array evaluation after it.  At each daily-update
+boundary it swaps in that day's per-day plan (the day's mined content,
+merged once per universe, with its diff from the day before) and
+refreshes only the user's copy-on-write overlay plus the day's churn, in
+place of ``CacheUpdateServer.refresh_with_content`` on a whole cache.
+These tests pin the seam itself:
 
-* a mid-stream daily update ends a segment, and its
-  :class:`UpdatePatch` accounting — byte counts, pair/result add/remove
-  counts, pruned queries, compaction costs — is identical to driving the
-  real scalar server against a real cache;
+* a mid-stream daily update's :class:`UpdatePatch` accounting — byte
+  counts, pair/result add/remove counts, pruned queries, compaction
+  costs — is identical to driving the real scalar server against a real
+  cache;
+* a daily user's hits are priced once, whatever the number of days;
 * degenerate batches (users with no events, single-event users) pass
   through the batch path without crashing and produce the scalar
   engine's outcomes.
@@ -30,7 +31,11 @@ from repro.sim.replay import (
     make_cache,
     select_replay_users,
 )
-from repro.sim.vectorized import DAY_SECONDS, replay_user_vectorized
+from repro.sim.vectorized import (
+    DAY_SECONDS,
+    EngineCostModel,
+    replay_user_vectorized,
+)
 
 T_START = 1 * MONTH_SECONDS
 T_END = T_START + MONTH_SECONDS
@@ -135,6 +140,41 @@ class TestUpdatePatchParity:
         assert compactions > 0
 
 
+class TestOnePass:
+    def test_daily_hits_priced_in_one_evaluation(
+        self, small_log, small_content, daily_contents, replay_users,
+        monkeypatch,
+    ):
+        """A daily user's replay prices its hits with at most two
+        ``fetch_cost_arrays`` calls (first and second results), however
+        many days its events and hits span."""
+        def active_days(uid):
+            stream = small_log.for_user(uid).window(T_START, T_END)
+            return len(set((stream.timestamps - T_START) // DAY_SECONDS))
+
+        uid = max(replay_users, key=active_days)
+        assert active_days(uid) >= 5
+        calls = []
+        fetch_cost_arrays = EngineCostModel.fetch_cost_arrays
+
+        def counted(self, entries, offsets, nbytes):
+            calls.append(len(entries))
+            return fetch_cost_arrays(self, entries, offsets, nbytes)
+
+        monkeypatch.setattr(EngineCostModel, "fetch_cost_arrays", counted)
+        metrics, _ = replay_user_vectorized(
+            small_log, small_content, daily_contents, CacheMode.FULL,
+            uid, T_START, T_END,
+        )
+        hit_days = {
+            (outcome.timestamp - T_START) // DAY_SECONDS
+            for outcome in metrics.outcomes
+            if outcome.hit
+        }
+        assert len(hit_days) >= 2  # hits on several days, yet:
+        assert len(calls) <= 2
+
+
 class TestDegenerateBatches:
     def test_user_with_no_events(self, small_log, small_content):
         """An empty slice (user absent from the window) yields an empty
@@ -175,8 +215,8 @@ class TestDegenerateBatches:
     def test_daily_user_with_no_events_still_no_refresh(
         self, small_log, small_content, daily_contents
     ):
-        """No events → no segments → the update server is never invoked
-        (matching the scalar loop, which only refreshes ahead of events)."""
+        """No events → the update server is never invoked (matching the
+        scalar loop, which only refreshes ahead of events)."""
         metrics, patches = replay_user_vectorized(
             small_log, small_content, daily_contents, CacheMode.FULL,
             10**9, T_START, T_END,
