@@ -6,12 +6,15 @@ package the bar is higher: a broad ``except Exception`` that does not
 re-raise can swallow an :class:`~repro.serve.requests.Overloaded` shed
 or a worker failure, so requests vanish without being counted and the
 conservation check (submitted == completed + shed) silently rots.
-Catch the specific exception, or re-raise after recording.
+Catch the specific exception, or re-raise after recording.  Handing the
+caught exception to ``<future>.set_exception(<name>)`` forwards it to
+whoever awaits the future, so it counts as a re-raise.
 """
 
 from __future__ import annotations
 
 import ast
+from typing import Optional
 
 from repro.analysis.engine import Rule, walk_in_order
 from repro.analysis.findings import Severity
@@ -25,7 +28,23 @@ STRICT_SCOPE = {"serve"}
 
 
 def _reraises(handler: ast.ExceptHandler) -> bool:
-    return any(isinstance(n, ast.Raise) for n in walk_in_order(handler))
+    return any(
+        isinstance(n, ast.Raise) or _forwards(n, handler.name)
+        for n in walk_in_order(handler)
+    )
+
+
+def _forwards(node: ast.AST, bound: Optional[str]) -> bool:
+    """True for a ``<expr>.set_exception(<bound>)`` call."""
+    return (
+        bound is not None
+        and isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "set_exception"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == bound
+    )
 
 
 def _broad_names(type_node: ast.AST):

@@ -79,7 +79,44 @@ class GeneratorConfig:
             raise ValueError("monthly_volume_jitter must be non-negative")
 
 
-class SearchLog:
+class LogNames:
+    """The name tables every view of a log shares: the community model's
+    query and URL text by id, and the names of the personal pairs."""
+
+    def __init__(
+        self,
+        community: CommunityModel,
+        unique_names: Dict[int, Tuple[str, str]],
+    ) -> None:
+        self.community = community
+        self._unique_names = unique_names
+
+    def query_string(self, query_key: int) -> str:
+        if query_key < self.community.n_queries:
+            return self.community.query_strings[query_key]
+        return self._unique_names[int(query_key)][0]
+
+    def result_url(self, result_key: int) -> str:
+        if result_key < self.community.n_results:
+            return self.community.result_urls[result_key]
+        # Unique pairs share one id space for query and result keys.
+        offset = int(result_key) - self.community.n_results
+        unique_qkey = self.community.n_queries + offset
+        return self._unique_names[unique_qkey][1]
+
+    def names(self) -> "LogNames":
+        """The tables alone, holding none of a log's event arrays."""
+        return LogNames(self.community, self._unique_names)
+
+    def shares_names(self, other: "LogNames") -> bool:
+        """True if ``other`` reads the very same tables."""
+        return (
+            self.community is other.community
+            and self._unique_names is other._unique_names
+        )
+
+
+class SearchLog(LogNames):
     """A columnar, multi-month search log.
 
     Attributes:
@@ -102,7 +139,7 @@ class SearchLog:
         device_codes: np.ndarray,
         unique_names: Dict[int, Tuple[str, str]],
     ) -> None:
-        self.community = community
+        super().__init__(community, unique_names)
         self.population = population
         self.user_ids = user_ids
         self.timestamps = timestamps
@@ -111,7 +148,6 @@ class SearchLog:
         self.result_keys = result_keys
         self.navigational = navigational
         self.device_codes = device_codes
-        self._unique_names = unique_names
 
     # -- shape ---------------------------------------------------------------
 
@@ -121,21 +157,6 @@ class SearchLog:
 
     def __len__(self) -> int:
         return self.n_events
-
-    # -- string lookup --------------------------------------------------------
-
-    def query_string(self, query_key: int) -> str:
-        if query_key < self.community.n_queries:
-            return self.community.query_strings[query_key]
-        return self._unique_names[int(query_key)][0]
-
-    def result_url(self, result_key: int) -> str:
-        if result_key < self.community.n_results:
-            return self.community.result_urls[result_key]
-        # Unique pairs share one id space for query and result keys.
-        offset = int(result_key) - self.community.n_results
-        unique_qkey = self.community.n_queries + offset
-        return self._unique_names[unique_qkey][1]
 
     # -- views ---------------------------------------------------------------
 

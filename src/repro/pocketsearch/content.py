@@ -10,12 +10,12 @@ results clicked for the same query.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.logs.generator import SearchLog
+from repro.logs.generator import LogNames, SearchLog
 from repro.logs.schema import Triplet
 
 #: Bytes one cached search result occupies in the flash database, on
@@ -93,19 +93,101 @@ PAPER_OPERATING_POINT = ContentPolicy(target_coverage=0.55)
 APPROX_DRAM_BYTES_PER_PAIR = 40
 
 
-@dataclass
+class PairColumns(NamedTuple):
+    """A mined content's selected pairs, one element per pair in walk
+    order: int64 query and result keys, volumes and the window volume of
+    each pair's query, the navigational flags and the stored record
+    sizes, plus the log's name tables to resolve the keys' text."""
+
+    query_keys: np.ndarray
+    result_keys: np.ndarray
+    volumes: np.ndarray
+    query_totals: np.ndarray
+    navigational: np.ndarray
+    record_bytes: np.ndarray
+    names: LogNames
+
+    def entries(self) -> List[CacheEntry]:
+        return [
+            CacheEntry(
+                query=self.names.query_string(qkey),
+                url=self.names.result_url(rkey),
+                volume=volume,
+                score=volume / query_total,
+                navigational=navigational,
+                record_bytes=record_bytes,
+            )
+            for qkey, rkey, volume, query_total, navigational, record_bytes
+            in zip(
+                self.query_keys.tolist(),
+                self.result_keys.tolist(),
+                self.volumes.tolist(),
+                self.query_totals.tolist(),
+                self.navigational.tolist(),
+                self.record_bytes.tolist(),
+            )
+        ]
+
+
 class CacheContent:
-    """The outcome of cache content generation."""
+    """The outcome of cache content generation.
 
-    entries: List[CacheEntry]
-    total_log_volume: int
-    covered_volume: int = field(init=False)
+    A content built from entries holds them as given.  A content mined
+    from a log holds its pairs as :class:`PairColumns` (``columns``) and
+    builds its :class:`CacheEntry` list the first time :attr:`entries` is
+    read; its volumes are known without it.  The columns keep the log's
+    name tables, never the mined window's event arrays.  Either way two
+    contents are equal when their entries and volumes are.
+    """
 
-    def __post_init__(self) -> None:
-        self.covered_volume = sum(e.volume for e in self.entries)
+    __hash__ = None  # mutable, compared by value
+
+    def __init__(
+        self, entries: List[CacheEntry], total_log_volume: int
+    ) -> None:
+        self._entries: Optional[List[CacheEntry]] = entries
+        self.columns: Optional[PairColumns] = None
+        self.total_log_volume = total_log_volume
+        self.covered_volume = sum(e.volume for e in entries)
+
+    @classmethod
+    def from_columns(
+        cls, columns: PairColumns, total_log_volume: int
+    ) -> "CacheContent":
+        """A mined content, whose entries ``columns`` builds when read."""
+        content = cls.__new__(cls)
+        content._entries = None
+        content.columns = columns
+        content.total_log_volume = total_log_volume
+        content.covered_volume = int(columns.volumes.sum())
+        return content
+
+    @property
+    def entries(self) -> List[CacheEntry]:
+        if self._entries is None:
+            self._entries = self.columns.entries()
+        return self._entries
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CacheContent):
+            return NotImplemented
+        return (
+            self.total_log_volume == other.total_log_volume
+            and self.covered_volume == other.covered_volume
+            and self.entries == other.entries
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CacheContent(entries={self.entries!r}, "
+            f"total_log_volume={self.total_log_volume!r}, "
+            f"covered_volume={self.covered_volume!r})"
+        )
 
     @property
     def n_pairs(self) -> int:
+        if self.columns is not None:
+            return len(self.columns.volumes)
         return len(self.entries)
 
     @property
@@ -309,8 +391,10 @@ def _select_pairs(
     position in volume order, so the walk's stop is the first position
     where one of them holds.  Array division of the int64 volumes equals
     Python's int division while volumes stay below 2**53.  The flash
-    budget depends on which URLs earlier pairs took, so the entry loop
-    checks it over the prefix that the others leave.
+    budget depends on which URLs earlier pairs took, so a loop over the
+    prefix that the others leave checks it.  The selected pairs stay
+    columns (:class:`PairColumns`) read from ``log``'s rows; the content
+    keeps ``log``'s name tables, not ``log``.
     """
     if not len(counts):
         return CacheContent(entries=[], total_log_volume=0)
@@ -338,37 +422,49 @@ def _select_pairs(
         )
     taken = order[: min(stops)]
     rows = rows[taken]
-
-    entries: List[CacheEntry] = []
-    max_flash = policy.max_flash_bytes
-    flash_bytes = 0
-    seen_urls: Dict[str, bool] = {}
-    for qkey, rkey, navigational, volume, query_total in zip(
-        log.query_keys[rows].tolist(),
-        log.result_keys[rows].tolist(),
-        log.navigational[rows].tolist(),
-        volumes[: len(taken)].tolist(),
-        query_totals[taken].tolist(),
-    ):
-        url = log.result_url(rkey)
-        record_bytes = result_record_bytes(log, rkey)
-        if max_flash is not None and url not in seen_urls:
-            if flash_bytes + record_bytes > max_flash:
-                break
-            flash_bytes += record_bytes
-            seen_urls[url] = True
-        entries.append(
-            CacheEntry(
-                query=log.query_string(qkey),
-                url=url,
-                volume=volume,
-                score=volume / query_total,
-                navigational=navigational,
-                record_bytes=record_bytes,
-            )
+    result_keys = log.result_keys[rows]
+    record_bytes = record_bytes_column(log, result_keys)
+    if policy.max_flash_bytes is not None:
+        admitted = _flash_stop(
+            log, result_keys, record_bytes, policy.max_flash_bytes
         )
+        taken, rows = taken[:admitted], rows[:admitted]
+        result_keys = result_keys[:admitted]
+        record_bytes = record_bytes[:admitted]
+    columns = PairColumns(
+        query_keys=log.query_keys[rows],
+        result_keys=result_keys,
+        volumes=counts[taken],
+        query_totals=query_totals[taken],
+        navigational=log.navigational[rows],
+        record_bytes=record_bytes,
+        names=log.names(),
+    )
+    return CacheContent.from_columns(columns, total_volume)
 
-    return CacheContent(entries=entries, total_log_volume=total_volume)
+
+def _flash_stop(
+    names: LogNames,
+    result_keys: np.ndarray,
+    record_bytes: np.ndarray,
+    max_flash_bytes: int,
+) -> int:
+    """How many leading pairs fit the flash budget.  A URL's record is
+    charged once, by the first pair that takes its text: pairs share a
+    result when a topic's shared site is another topic's navigational
+    site."""
+    flash_bytes = 0
+    seen_urls = set()
+    for i, (rkey, nbytes) in enumerate(
+        zip(result_keys.tolist(), record_bytes.tolist())
+    ):
+        url = names.result_url(rkey)
+        if url not in seen_urls:
+            if flash_bytes + nbytes > max_flash_bytes:
+                return i
+            flash_bytes += nbytes
+            seen_urls.add(url)
+    return len(result_keys)
 
 
 def _first(mask: np.ndarray) -> int:
@@ -377,13 +473,22 @@ def _first(mask: np.ndarray) -> int:
     return at if mask[at] else len(mask)
 
 
-def result_record_bytes(log: SearchLog, result_key: int) -> int:
+def result_record_bytes(log: LogNames, result_key: int) -> int:
     """Stored size of a result: community results carry their mined
     record size, personal ones :data:`DEFAULT_RECORD_BYTES`."""
     community = log.community
     if result_key < community.n_results:
         return int(community.result_record_bytes[result_key])
     return DEFAULT_RECORD_BYTES
+
+
+def record_bytes_column(log: LogNames, result_keys: np.ndarray) -> np.ndarray:
+    """:func:`result_record_bytes` of each key, as an int64 array."""
+    community = log.community
+    out = np.full(len(result_keys), DEFAULT_RECORD_BYTES, dtype=np.int64)
+    known = result_keys < community.n_results
+    out[known] = community.result_record_bytes[result_keys[known]]
+    return out
 
 
 def build_cache_content_from_model(

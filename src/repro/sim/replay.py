@@ -54,7 +54,11 @@ from repro.pocketsearch.database import ResultDatabase
 from repro.pocketsearch.engine import PocketSearchEngine
 from repro.pocketsearch.manager import CacheUpdateServer
 from repro.sim.metrics import MetricsCollector
-from repro.sim.vectorized import month_content, replay_user_vectorized
+from repro.sim.vectorized import (
+    month_content,
+    prepare_replay,
+    replay_user_vectorized,
+)
 from repro.storage.filesystem import FlashFilesystem
 from repro.storage.flash import NandFlash
 
@@ -315,6 +319,11 @@ def run_replay(
 
     results: Dict[str, ReplayResult] = {}
     for mode in modes:
+        if work and not tracer.enabled:  # the batch engine serves them
+            prepare_replay(
+                log, content, _daily_for(config, mode, daily_contents),
+                mode, t_start, t_end,
+            )
         with tracer.span("replay_mode", mode=mode) as mode_span:
             users = [
                 replay_one_user(
@@ -353,11 +362,7 @@ def replay_one_user(
     :func:`replay_user` does, because only it opens a span per query;
     both give bit-identical outcomes.
     """
-    daily = (
-        daily_contents
-        if config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY
-        else None
-    )
+    daily = _daily_for(config, mode, daily_contents)
     metrics = MetricsCollector()
     if get_tracer().enabled:
         engine = PocketSearchEngine(make_cache(content, mode))
@@ -370,6 +375,16 @@ def replay_one_user(
     return UserReplayResult(
         user_id=user_id, user_class=user_class, metrics=metrics
     )
+
+
+def _daily_for(
+    config: ReplayConfig, mode: str, daily_contents: List[CacheContent]
+) -> Optional[List[CacheContent]]:
+    """The nightly contents a mode's users refresh from, or ``None``: a
+    personalization-only cache holds no community content to refresh."""
+    if config.daily_updates and mode != CacheMode.PERSONALIZATION_ONLY:
+        return daily_contents
+    return None
 
 
 def _daily_contents(log: SearchLog, config: ReplayConfig) -> List[CacheContent]:

@@ -34,14 +34,18 @@ daily updates the base is the initial community content.  With them
 (Section 6.2.2) every user gets the same mined content each night, so
 each day's content is merged once per universe into a :class:`_DayPlan`:
 its slots as a cache with no retained pairs holds them, its results,
-its table size and its diff from the day before.  Before the first
-event of each day, a refresh keeps the overlay's accessed pairs at or
-above the retention score, merges the day's slots into those queries
-only, swaps the plan in as the base and applies its diff to the user's
-result database.  It costs the user's touched queries plus the day's
-churn, not the cache's size, and its :class:`UpdatePatch` accounting and
-database compactions equal :meth:`CacheUpdateServer.refresh_with_content`
-on a real cache.
+its table size and its diff from the day before.  A mined content's key
+columns map straight to ids; a content built from entries maps their
+text.  :func:`prepare_replay` builds the universe, the event batch and
+the plans before a replay's first user.  Before the first event of each
+day, a refresh keeps the overlay's accessed pairs at or above the
+retention score, merges the day's slots into those queries only, swaps
+the plan in as the base and applies its diff to the user's result
+database.  It costs the user's touched queries plus the day's churn,
+not the cache's size, and its database compactions equal
+:meth:`CacheUpdateServer.refresh_with_content` on a real cache.  Its
+:class:`UpdatePatch` accounting, equal to the server's too, is computed
+only when the caller collects the patches.
 """
 
 from __future__ import annotations
@@ -56,7 +60,11 @@ import numpy as np
 
 from repro.logs.generator import SearchLog
 from repro.pocketsearch.cache import PocketSearchCache
-from repro.pocketsearch.content import CacheContent, ContentPolicy, result_record_bytes
+from repro.pocketsearch.content import (
+    CacheContent,
+    ContentPolicy,
+    record_bytes_column,
+)
 from repro.pocketsearch.database import (
     DIRECTORY_SCAN_S_PER_FILE,
     HEADER_ENTRY_BYTES,
@@ -283,7 +291,6 @@ class ReplayUniverse:
         # never references them, and the full pass over _unique_names is
         # measurable at paper scale.
         self._personal_mapped = False
-        self._rb_of_rkey: Dict[int, int] = {}
 
         self._file_of: Dict[int, int] = {}
         self._qstr: Dict[int, str] = {}
@@ -341,7 +348,21 @@ class ReplayUniverse:
         return plans
 
     def map_content(self, content: CacheContent) -> List[Tuple]:
-        """Content entries as (qid, rid, score, record_bytes) tuples."""
+        """Content pairs as (qid, rid, score, record_bytes) tuples.
+
+        A content mined from this log's name tables maps its key columns
+        as the events' keys are mapped; any other maps its entries' text.
+        Both give a pair the same ids: two keys share text only within
+        the community tables, where the first key wins either way.
+        """
+        columns = content.columns
+        if columns is not None and columns.names.shares_names(self.log):
+            return list(zip(
+                self.map_qkeys(columns.query_keys).tolist(),
+                self.map_rkeys(columns.result_keys).tolist(),
+                (columns.volumes / columns.query_totals).tolist(),
+                columns.record_bytes.tolist(),
+            ))
         entries = []
         for entry in content.entries:
             qid = self._qid_of_str.get(entry.query)
@@ -389,20 +410,6 @@ class ReplayUniverse:
         if mask.any():
             rid[mask] = self.rid_by_ckey[rid[mask]]
         return rid
-
-    def record_bytes_of(self, rkeys: np.ndarray) -> np.ndarray:
-        """Stored size per clicked result (:func:`result_record_bytes`),
-        resolved once per distinct result key."""
-        log = self.log
-        cache = self._rb_of_rkey
-        out = np.empty(len(rkeys), dtype=np.int64)
-        for i, rkey in enumerate(rkeys.tolist()):
-            rb = cache.get(rkey)
-            if rb is None:
-                rb = result_record_bytes(log, rkey)
-                cache[rkey] = rb
-            out[i] = rb
-        return out
 
     def file_of(self, rid: int) -> int:
         """Database file index of a result: hash64(url) % n_files."""
@@ -557,7 +564,11 @@ def _table_size(
     return n_entries, n_slots
 
 
-def _refresh_state(state: _UserCacheState, day: _DayPlan) -> UpdatePatch:
+def _refresh_state(
+    state: _UserCacheState,
+    day: _DayPlan,
+    patches: Optional[List[UpdatePatch]],
+) -> None:
     """:meth:`CacheUpdateServer.refresh_with_content` with ``day``'s
     content, applied to a daily user's overlay.
 
@@ -570,111 +581,141 @@ def _refresh_state(state: _UserCacheState, day: _DayPlan) -> UpdatePatch:
     referenced, so it gains ``day``'s new results it lacks and loses the
     results no retained pair or ``day`` references: ``day``'s gone
     results and the overlay's own.
+
+    Every state change runs on each call.  The :class:`UpdatePatch` the
+    server would return (the table's wire sizes before and after, the
+    pair, result and query counts, the per-file patch bytes and the
+    compaction's costs) is computed only when ``patches`` collects it,
+    and appended there.
     """
     costs = state.universe.costs
-    width = costs.results_per_entry
-    prev_slots = state.base.slots
+    collect = patches is not None
+    prev, overlay = state.base, state.slots
     day_slots = day.slots
-    n_entries, n_slots = _table_size(state.base, state.slots, width)
-    bytes_uploaded = wire_bytes(n_entries, n_slots)
 
-    # Step 2: prune never-accessed and decayed pairs.
+    # Step 2: prune never-accessed and decayed pairs, noting the results
+    # the kept pairs reference and those the pruned ones did.
     retained: Dict[int, List[List]] = {}
     retained_results = set()
+    pruned_results = []
     min_score = costs.retention_min_score
-    for qid, slots in state.slots.items():
-        kept = [slot for slot in slots if slot[2] and slot[1] >= min_score]
-        if kept:
-            retained[qid] = kept
-            retained_results.update(slot[0] for slot in kept)
-    pairs_removed = n_slots - sum(len(kept) for kept in retained.values())
+    for qid, slots in overlay.items():
+        kept = None
+        for slot in slots:
+            if slot[2] and slot[1] >= min_score:
+                if kept is None:
+                    kept = retained[qid] = [slot]
+                else:
+                    kept.append(slot)
+                retained_results.add(slot[0])
+            else:
+                pruned_results.append(slot[0])
+    if collect:
+        width = costs.results_per_entry
+        n_entries, n_slots = _table_size(prev, overlay, width)
+        bytes_uploaded = wire_bytes(n_entries, n_slots)
+        pairs_removed = n_slots - sum(len(kept) for kept in retained.values())
+        pairs_added = day.n_content
+        results_added = 0
+        patch_files: Dict[int, int] = {}
 
     # Step 3: merge the fresh popular set (max score wins).  An entry
     # adds a pair unless the pair was retained.
-    results_added = 0
-    patch_files: Dict[int, int] = {}
     for rid, record_bytes in day.new_results:
         if rid not in state.db:
             file_index = state.add_result(rid, record_bytes)[0]
-            results_added += 1
-            patch_files[file_index] = (
-                patch_files.get(file_index, 0)
-                + record_bytes
-                + costs.header_entry_bytes
-            )
-    pairs_added = day.n_content
+            if collect:
+                results_added += 1
+                patch_files[file_index] = (
+                    patch_files.get(file_index, 0)
+                    + record_bytes
+                    + costs.header_entry_bytes
+                )
     for qid, kept in retained.items():
         for rid, score, _accessed in day_slots.get(qid, ()):
             for slot in kept:
                 if slot[0] == rid:
                     slot[1] = max(slot[1], score)
-                    pairs_added -= day.repeats.get((qid, rid), 1)
+                    if collect:
+                        pairs_added -= day.repeats.get((qid, rid), 1)
                     break
             else:
                 kept.append([rid, score, False])
 
-    # Step 4: count the queries left without pairs, garbage-collect the
-    # database, then compact.
-    queries_pruned = day.n_gone_queries
-    for qid in state.slots:
-        if qid in day_slots:
-            continue
-        if qid in retained and qid in prev_slots:
-            queries_pruned -= 1  # gone from the content, but retained
-        elif qid not in retained and qid not in prev_slots:
-            queries_pruned += 1  # the user's own query lost every pair
-    results_removed = 0
+    # Step 4: garbage-collect the database, then compact.
+    n_results = len(state.db)
     for rid in day.gone_results:
         if rid not in retained_results:
             state.drop_result(rid)
-            results_removed += 1
     day_results = day.results
-    for slots in state.slots.values():
-        for slot in slots:
-            rid = slot[0]
-            if (
-                rid not in retained_results
-                and rid not in day_results
-                and rid in state.db
-            ):
-                state.drop_result(rid)
-                results_removed += 1
+    for rid in pruned_results:
+        if (
+            rid not in retained_results
+            and rid not in day_results
+            and rid in state.db
+        ):
+            state.drop_result(rid)
     state.slots = retained
     state.base = day
     compacted = None
     if state.garbage > costs.compaction_threshold * max(
         sum(state.file_sizes), 1
     ):
-        compacted = _compact_state(state)
+        compacted = _compact_state(state, priced=collect)
+    if not collect:
+        return
 
+    # The patch: step 4 also counts the queries left without pairs.
+    queries_pruned = day.n_gone_queries
+    for qid in overlay:
+        if qid in day_slots:
+            continue
+        if qid in retained and qid in prev.slots:
+            queries_pruned -= 1  # gone from the content, but retained
+        elif qid not in retained and qid not in prev.slots:
+            queries_pruned += 1  # the user's own query lost every pair
     n_entries, n_slots = _table_size(day, retained, width)
-    bytes_downloaded = wire_bytes(n_entries, n_slots) + sum(
-        patch_files.values()
-    )
-    return UpdatePatch(
+    patches.append(UpdatePatch(
         bytes_uploaded=bytes_uploaded,
-        bytes_downloaded=bytes_downloaded,
+        bytes_downloaded=wire_bytes(n_entries, n_slots)
+        + sum(patch_files.values()),
         pairs_added=pairs_added,
         pairs_removed=pairs_removed,
         results_added=results_added,
-        results_removed=results_removed,
+        results_removed=n_results - len(state.db),
         queries_pruned=queries_pruned,
         compaction=compacted,
         patch_files=patch_files,
-    )
+    ))
 
 
-def _compact_state(state: _UserCacheState) -> CompactionResult:
-    """Exact mirror of :meth:`ResultDatabase.compact` on the state."""
+def _compact_state(
+    state: _UserCacheState, priced: bool
+) -> Optional[CompactionResult]:
+    """Mirror of :meth:`ResultDatabase.compact` on the state: every live
+    result is laid out again in insertion order and the garbage is
+    cleared.  With ``priced``, returns the :class:`CompactionResult`,
+    whose costs sum the live results' reads in file order and then one
+    reopen per result, as the database's do."""
     costs = state.universe.costs
-    live = sorted(state.db.items(), key=lambda kv: (kv[1][0], kv[1][1]))
-    latency = 0.0
-    energy = 0.0
-    for _rid, (_file, offset, record_bytes) in live:
-        lat, en = costs.read_cost(offset, record_bytes)
-        latency += lat
-        energy += en
-    reclaimed = state.garbage
+    compacted = None
+    if priced:
+        latency = 0.0
+        energy = 0.0
+        live = sorted(state.db.values())  # by (file, offset)
+        for _file, offset, record_bytes in live:
+            lat, en = costs.read_cost(offset, record_bytes)
+            latency += lat
+            energy += en
+        for _ in live:
+            latency += costs.open_s
+            energy += costs.open_j
+        compacted = CompactionResult(
+            reclaimed_bytes=state.garbage,
+            live_results=len(live),
+            latency_s=latency,
+            energy_j=energy,
+        )
     state.garbage = 0
     old = list(state.db.items())  # preserves _index insertion order
     state.file_sizes = [0] * costs.n_files
@@ -682,14 +723,7 @@ def _compact_state(state: _UserCacheState) -> CompactionResult:
     state.db = {}
     for rid, (_file, _offset, record_bytes) in old:
         state.add_result(rid, record_bytes)
-        latency += costs.open_s
-        energy += costs.open_j
-    return CompactionResult(
-        reclaimed_bytes=reclaimed,
-        live_results=len(old),
-        latency_s=latency,
-        energy_j=energy,
-    )
+    return compacted
 
 
 # -- user-level entry points -------------------------------------------------
@@ -726,7 +760,7 @@ def _replay_user_arrays(
     if personalized:
         rkeys = events["result_key"]
         rids = universe.map_rkeys(rkeys).tolist()
-        record_bytes = universe.record_bytes_of(rkeys).tolist()
+        record_bytes = record_bytes_column(universe.log, rkeys).tolist()
     state = _UserCacheState(universe, daily=bool(daily_contents))
     plans = universe.day_plans(daily_contents) if daily_contents else []
     if plans:
@@ -747,9 +781,7 @@ def _replay_user_arrays(
     for i, (qid, event_day) in enumerate(zip(qids, days)):
         if event_day >= day:
             while day <= event_day:
-                patch = _refresh_state(state, plans[day])
-                if patches_out is not None:
-                    patches_out.append(patch)
+                _refresh_state(state, plans[day], patches_out)
                 day += 1
             overlay, base_slots = state.slots, state.base.slots
             db, file_entries = state.db, state.file_entries
@@ -913,6 +945,24 @@ def month_content(
     )
 
 
+def prepare_replay(
+    log: SearchLog,
+    content: Optional[CacheContent],
+    daily_contents: Optional[List[CacheContent]],
+    mode: str,
+    t_start: float,
+    t_end: float,
+) -> None:
+    """Build what every user of a batch replay shares: the universe, the
+    columnar batch and, with daily contents, the day plans.  Each is
+    memoized, so :func:`replay_user_vectorized` finds them built and a
+    user's replay costs only its own events."""
+    universe = _universe_for(log, content, mode)
+    _batch_for(log, t_start, t_end)
+    if daily_contents:
+        universe.day_plans(daily_contents)
+
+
 def replay_user_vectorized(
     log: SearchLog,
     content: Optional[CacheContent],
@@ -929,7 +979,9 @@ def replay_user_vectorized(
     ``patches`` is the per-refresh :class:`UpdatePatch` list when
     ``collect_patches`` and daily contents are given, else ``None`` —
     the hook the refresh-parity tests use to compare update accounting
-    against the scalar :class:`CacheUpdateServer`.  Opens no spans:
+    against the scalar :class:`CacheUpdateServer`.  Without it the
+    refreshes change the same state and skip the accounting.  Opens no
+    spans:
     :func:`repro.sim.replay.replay_one_user` serves traced runs event by
     event instead.
     """

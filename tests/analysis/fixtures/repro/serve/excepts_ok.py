@@ -1,4 +1,5 @@
-"""REP007 negative fixture: specific catches, or record-then-reraise."""
+"""REP007 negative fixture: specific catches, record-then-reraise, or
+forwarding the caught exception to a future."""
 
 
 class Overloaded(Exception):
@@ -19,3 +20,10 @@ def observed(backend, request, counters):
     except Exception:
         counters["errors"] += 1
         raise  # broad but re-raises after recording: fine
+
+
+def forwarded(backend, request, future):
+    try:
+        future.set_result(backend.serve(request))
+    except Exception as exc:
+        future.set_exception(exc)  # the awaiter raises it: fine

@@ -27,7 +27,7 @@ POSITIVE = [
     ("repro/serve/asyncsafety_bad.py", "REP004", 6),
     ("tasks_bad.py", "REP005", 3),
     ("defaults_bad.py", "REP006", 5),
-    ("repro/serve/excepts_bad.py", "REP007", 2),
+    ("repro/serve/excepts_bad.py", "REP007", 3),
     ("repro/sim/layering_bad.py", "REP008", 2),
     ("repro/serve/buffers_bad.py", "REP009", 3),
 ]

@@ -8,7 +8,14 @@ the first event and past the last, ends and starts on event timestamps)
 and widths that leave gaps between windows or make them overlap.  Every
 mined content must equal the reference entry for entry, with the same
 total and covered volume.
+
+A mined content keeps its pairs as key columns: it builds no
+:class:`CacheEntry` until its entries are read, holds no reference to
+the mined window, and reads equal to the pair-by-pair walk that built
+every entry as it took the pair.
 """
+
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,11 +23,17 @@ from hypothesis import given, settings, strategies as st
 from repro.experiments.common import default_log
 from repro.logs.schema import MONTH_SECONDS
 from repro.pocketsearch.content import (
+    CacheEntry,
     ContentPolicy,
     build_cache_content,
     build_trailing_contents,
 )
 from repro.sim.replay import DAY_SECONDS, ReplayConfig, _daily_contents
+
+from tests.pocketsearch.test_select_pairs import (
+    reference_select_pairs,
+    walk_inputs,
+)
 
 #: The tier-1 profile: derandomized, with a bounded example count.
 PARITY = settings(max_examples=50, deadline=None, derandomize=True)
@@ -118,3 +131,82 @@ class TestTrailingInputs:
     def test_rejects_non_positive_width(self, small_log, width):
         with pytest.raises(ValueError, match="width"):
             build_trailing_contents(small_log, [1.0], width)
+
+
+def _daily_ends(config):
+    t_replay = config.replay_month * MONTH_SECONDS
+    return [t_replay + day * DAY_SECONDS for day in range(30)]
+
+
+class TestMinedContentsHoldColumns:
+    def test_no_entry_objects_until_read(self, small_log, monkeypatch):
+        built = []
+        post_init = CacheEntry.__post_init__
+
+        def counted(entry):
+            built.append(entry)
+            post_init(entry)
+
+        monkeypatch.setattr(CacheEntry, "__post_init__", counted)
+        config = ReplayConfig(daily_updates=True)
+        mined = [
+            build_cache_content(small_log.month(0), config.policy),
+            *_daily_contents(small_log, config),
+        ]
+        volumes = [
+            (c.n_pairs, c.covered_volume, c.total_log_volume) for c in mined
+        ]
+        assert built == []
+        assert sum(len(c.entries) for c in mined) == len(built) > 0
+        assert volumes == [
+            (len(c.entries), sum(e.volume for e in c.entries),
+             c.total_log_volume)
+            for c in mined
+        ]
+
+    def test_mined_window_is_freed(self, small_log):
+        config = ReplayConfig(daily_updates=True)
+        window = small_log.month(0)
+        month0 = weakref.ref(window)
+        content = build_cache_content(window, config.policy)
+        del window
+        assert month0() is None
+
+        span = small_log.window(0.0, 2 * MONTH_SECONDS)
+        spanned = weakref.ref(span)
+        daily = build_trailing_contents(
+            span, _daily_ends(config), MONTH_SECONDS, config.policy
+        )
+        del span
+        assert spanned() is None
+        assert content.entries and all(c.entries for c in daily)
+
+    @pytest.mark.parametrize("seed", [1, 7, 4099])
+    def test_equal_to_eager_walk(self, seed):
+        """Month 0 under the paper's policy and under a flash budget that
+        takes repeated URLs, and the 30 daily windows, at the default
+        log of each perfbench seed."""
+        log = default_log(seed=seed)
+        config = ReplayConfig(daily_updates=True)
+        month0 = log.month(0)
+        flash = ContentPolicy(max_flash_bytes=100_000)
+
+        def eager(window, policy):
+            return reference_select_pairs(
+                window, *walk_inputs(window), policy
+            )
+
+        by_flash = eager(month0, flash)
+        urls = [e.url for e in by_flash.entries]
+        assert len(set(urls)) < len(urls)  # a URL is taken twice
+        _assert_same(
+            [build_cache_content(month0, p) for p in (config.policy, flash)],
+            [eager(month0, config.policy), by_flash],
+        )
+        _assert_same(
+            _daily_contents(log, config),
+            [
+                eager(log.window(end - MONTH_SECONDS, end), config.policy)
+                for end in _daily_ends(config)
+            ],
+        )

@@ -52,14 +52,10 @@ PINNED = {
 }
 
 
-def update_records(seed):
-    """``(records, batch_mismatches)``.
-
-    ``records`` holds one repr per UpdatePatch and per user's final
-    state, in replay order (mode, then class and user id, then day).
-    ``batch_mismatches`` names each (mode, user) whose batch replay
-    differs from the per-event run in its patches or its outcomes.
-    """
+def digest_inputs(seed):
+    """``(log, content, daily, selected, t_start, t_end)`` of the daily
+    replay a digest pins: the default log at ``seed``, its build-month
+    and daily contents, and the selected users by class."""
     log = default_log(seed=seed)
     config = ReplayConfig(users_per_class=USERS_PER_CLASS, daily_updates=True)
     content = month_content(
@@ -70,7 +66,18 @@ def update_records(seed):
         log, config.replay_month, USERS_PER_CLASS, config.seed
     )
     t_start = config.replay_month * MONTH_SECONDS
-    t_end = t_start + MONTH_SECONDS
+    return log, content, daily, selected, t_start, t_start + MONTH_SECONDS
+
+
+def update_records(seed):
+    """``(records, batch_mismatches)``.
+
+    ``records`` holds one repr per UpdatePatch and per user's final
+    state, in replay order (mode, then class and user id, then day).
+    ``batch_mismatches`` names each (mode, user) whose batch replay
+    differs from the per-event run in its patches or its outcomes.
+    """
+    log, content, daily, selected, t_start, t_end = digest_inputs(seed)
     records = []
     mismatches = []
     for mode in MODES:

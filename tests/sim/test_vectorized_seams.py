@@ -12,12 +12,15 @@ These tests pin the seam itself:
   counts, pair/result add/remove counts, pruned queries, compaction
   costs — is identical to driving the real scalar server against a real
   cache;
+* ``collect_patches`` decides only whether that accounting is
+  computed: every state change of a refresh runs either way;
 * a daily user's hits are priced once, whatever the number of days;
 * degenerate batches (users with no events, single-event users) pass
   through the batch path without crashing and produce the scalar
   engine's outcomes.
 """
 
+import numpy as np
 import pytest
 
 from repro.logs.schema import MONTH_SECONDS
@@ -31,6 +34,7 @@ from repro.sim.replay import (
     make_cache,
     select_replay_users,
 )
+from repro.sim import vectorized
 from repro.sim.vectorized import (
     DAY_SECONDS,
     EngineCostModel,
@@ -138,6 +142,90 @@ class TestUpdatePatchParity:
             )
             compactions += sum(1 for p in patches if p.compaction is not None)
         assert compactions > 0
+
+
+def _replay_with_state(log, content, daily, mode, uid, t_start, t_end, collect):
+    """One batch replay: ``(patches, (hit, latency, energy), state)``,
+    where ``state`` is the user's cache state after the last event."""
+    arrays, states = [], []
+    replay_arrays = vectorized._replay_user_arrays
+    user_state = vectorized._UserCacheState
+
+    def recorded_arrays(*args, **kwargs):
+        arrays.append(replay_arrays(*args, **kwargs))
+        return arrays[-1]
+
+    def recorded_state(*args, **kwargs):
+        states.append(user_state(*args, **kwargs))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vectorized, "_replay_user_arrays", recorded_arrays)
+        patch.setattr(vectorized, "_UserCacheState", recorded_state)
+        _, patches = replay_user_vectorized(
+            log, content, daily, mode, uid, t_start, t_end,
+            collect_patches=collect,
+        )
+    (replayed,) = arrays
+    (state,) = states
+    return patches, replayed, state
+
+
+class TestStateIndependentOfPatches:
+    """The refreshes change a user's cache the same way whether or not
+    their UpdatePatches are collected: equal hit, latency and energy
+    arrays, and equal final overlays, databases, file sizes and garbage.
+    """
+
+    @staticmethod
+    def _assert_same(log, content, daily, mode, uid, t_start, t_end):
+        """Replay ``uid`` both ways; returns ``(refreshes, compacting
+        refreshes)``, so a test can show the compaction ran."""
+        off_patches, off_arrays, off = _replay_with_state(
+            log, content, daily, mode, uid, t_start, t_end, False
+        )
+        on_patches, on_arrays, on = _replay_with_state(
+            log, content, daily, mode, uid, t_start, t_end, True
+        )
+        assert off_patches is None
+        for got, want in zip(off_arrays, on_arrays):
+            assert np.array_equal(got, want), uid
+        assert off.base is on.base, uid
+        assert off.slots == on.slots, uid
+        assert off.db == on.db, uid
+        assert off.file_sizes == on.file_sizes, uid
+        assert off.file_entries == on.file_entries, uid
+        assert off.garbage == on.garbage, uid
+        return len(on_patches), sum(p.compaction is not None for p in on_patches)
+
+    def test_digest_users(self):
+        """Every (mode, user) of the seed-7 UpdatePatch digest."""
+        from tests.pocketsearch.test_update_digest import MODES, digest_inputs
+
+        log, content, daily, selected, t_start, t_end = digest_inputs(7)
+        refreshes = compactions = 0
+        for mode in MODES:
+            for uids in selected.values():
+                for uid in uids:
+                    n, compacted = self._assert_same(
+                        log, content, daily, mode, uid, t_start, t_end
+                    )
+                    refreshes += n
+                    compactions += compacted
+        assert refreshes > 0 and compactions > 0
+
+    @pytest.mark.parametrize("mode", [CacheMode.FULL, CacheMode.COMMUNITY_ONLY])
+    def test_small_log_daily_users(
+        self, small_log, small_content, daily_contents, replay_users, mode
+    ):
+        compactions = 0
+        for uid in replay_users:
+            compactions += self._assert_same(
+                small_log, small_content, daily_contents, mode, uid,
+                T_START, T_END,
+            )[1]
+        if mode == CacheMode.FULL:
+            assert compactions > 0
 
 
 class TestOnePass:
