@@ -7,9 +7,9 @@ lookups, builds dataclasses, and walks the hash-table/ranker/database
 object graph.  All of that work is *deterministic arithmetic* over the
 event stream — the cost model is pure page math, the miss cost is a
 constant, and hit/miss classification is a membership function.  So a
-user's keys are mapped to integer ids once, the whole stream is served
-in one pass over flat slot lists and dicts, and every hit's cost is
-priced in one numpy evaluation after the pass.
+user's whole stream is served in one pass over flat slot lists and dicts
+keyed by the log's integer keys, and every hit's cost is priced in one
+numpy evaluation after the pass.
 
 Bit-identity, not approximation:
 
@@ -33,25 +33,24 @@ base: only the queries the user's clicks touch are copied.  Without
 daily updates the base is the initial community content.  With them
 (Section 6.2.2) every user gets the same mined content each night, so
 each day's content is merged once per universe into a :class:`_DayPlan`:
-its slots as a cache with no retained pairs holds them, its results,
-its table size and its diff from the day before.  A mined content's key
-columns map straight to ids; a content built from entries maps their
-text.  :func:`prepare_replay` builds the universe, the event batch and
-the plans before a replay's first user.  Before the first event of each
-day, a refresh keeps the overlay's accessed pairs at or above the
-retention score, merges the day's slots into those queries only, swaps
-the plan in as the base and applies its diff to the user's result
-database.  It costs the user's touched queries plus the day's churn,
-not the cache's size, and its database compactions equal
-:meth:`CacheUpdateServer.refresh_with_content` on a real cache.  Its
-:class:`UpdatePatch` accounting, equal to the server's too, is computed
-only when the caller collects the patches.
+its slots as a cache with no retained pairs holds them, its results and
+its diff from the day before.  A mined content's key columns are its
+ids; a content built from entries maps their text.
+:func:`prepare_replay` builds the universe, the event batch and the
+plans before a replay's first user.  Before the first event of each day,
+a refresh keeps the overlay's accessed pairs at or above the retention
+score, merges the day's slots into those queries only, swaps the plan in
+as the base and applies its diff to the user's result database.  It
+costs the user's touched queries plus the day's churn, not the cache's
+size, and leaves the table and the database in the state
+:meth:`CacheUpdateServer.refresh_with_content` leaves a real cache in,
+compactions included.  It computes none of the server's transfer
+accounting: the replay reads only the state.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple
@@ -69,15 +68,14 @@ from repro.pocketsearch.database import (
     DIRECTORY_SCAN_S_PER_FILE,
     HEADER_ENTRY_BYTES,
     HEADER_PARSE_S_PER_ENTRY,
-    CompactionResult,
 )
 from repro.pocketsearch.engine import (
     MISC_LATENCY_S,
     _SOURCE_BY_RADIO,
     PocketSearchEngine,
 )
-from repro.pocketsearch.hashtable import chain_entries, hash64, wire_bytes
-from repro.pocketsearch.manager import CacheUpdateServer, UpdatePatch
+from repro.pocketsearch.hashtable import hash64
+from repro.pocketsearch.manager import CacheUpdateServer
 from repro.radio.energy import (
     isolated_request_components,
     isolated_request_latency,
@@ -112,7 +110,6 @@ class EngineCostModel:
         server = CacheUpdateServer()
 
         self.lookup_s = table.lookup_latency_s
-        self.results_per_entry = table.results_per_entry
         self.render_s = browser.model.render_seconds(SERP_BYTES)
         self.render_energy_j = browser.render_energy_j(self.render_s)
         self.base_power_w = engine.base_power_w
@@ -155,21 +152,6 @@ class EngineCostModel:
         # Update-protocol constants (Section 5.4).
         self.retention_min_score = server.retention_min_score
         self.compaction_threshold = server.compaction_threshold
-
-    def read_cost(self, offset: int, nbytes: int) -> Tuple[float, float]:
-        """(latency, energy) of one positioned file read, scalar path."""
-        page = self.page_bytes
-        first = offset // page
-        last = (offset + nbytes - 1) // page
-        pages = last - first + 1
-        moved = pages * page
-        latency = (
-            pages * self.read_page_s + moved / self.read_bw_bps
-        ) + self.open_s
-        energy = (
-            pages * self.read_page_energy_j + moved * self.energy_per_byte_j
-        ) + self.open_j
-        return latency, energy
 
     def fetch_cost_arrays(
         self, entries: np.ndarray, offsets: np.ndarray, nbytes: np.ndarray
@@ -239,34 +221,15 @@ def _cost_model() -> EngineCostModel:
     return _COST_MODEL
 
 
-def _canonical_ids(strings: List[str]):
-    """(string -> first id) map plus an id -> canonical-id array.
-
-    Two keys with identical text are one entry to the MD5-keyed hash
-    table, so they must collapse to one canonical id.  The common case —
-    all strings distinct — resolves at C speed; duplicates take a slow
-    first-occurrence-wins pass.
-    """
-    n = len(strings)
-    mapping = dict(zip(strings, range(n)))
-    if len(mapping) == n:
-        return mapping, np.arange(n, dtype=np.int64)
-    mapping = {}
-    canonical = np.empty(n, dtype=np.int64)
-    for key, text in enumerate(strings):
-        canonical[key] = mapping.setdefault(text, key)
-    return mapping, canonical
-
-
 class ReplayUniverse:
     """Per-(log, content, mode) immutable mirror of the initial cache.
 
-    Maps the log's string universe into canonical integer ids (two query
-    keys with the same string collapse to one id, exactly as their MD5
-    hashes collide in the real hash table) and mirrors the community
-    bulk-load: the initial hash-table slots (:attr:`initial`) and the
-    result-database layout.  Shared read-only across all users of a
-    replay, as are the daily-update plans (:meth:`day_plans`).
+    A query's id is its key in the log, and so is a result's: every
+    query string and result URL of a generated log is distinct, so keys
+    and hash-table entries are one to one.  The universe mirrors the
+    community bulk-load: the initial hash-table slots (:attr:`initial`)
+    and the result-database layout.  Shared read-only across all users
+    of a replay, as are the daily-update plans (:meth:`day_plans`).
     """
 
     def __init__(
@@ -274,24 +237,10 @@ class ReplayUniverse:
     ) -> None:
         self.costs = _cost_model()
         self.log = log
-        self.mode = mode
-        community = log.community
-        self.n_queries = community.n_queries
-        self.n_results = community.n_results
-
-        # Canonical ids: first key with a given string wins, matching the
-        # hash table keying entries by the string's hash.
-        self._qid_of_str, self.qid_by_ckey = _canonical_ids(
-            community.query_strings
-        )
-        self._rid_of_url, self.rid_by_ckey = _canonical_ids(
-            community.result_urls
-        )
-        # Personal (unique) pair strings are mapped lazily: content almost
-        # never references them, and the full pass over _unique_names is
-        # measurable at paper scale.
-        self._personal_mapped = False
-
+        # Text -> id maps, built when a content made from entries is
+        # first mapped.
+        self._qid_of_str: Optional[Dict[str, int]] = None
+        self._rid_of_url: Optional[Dict[str, int]] = None
         self._file_of: Dict[int, int] = {}
         self._qstr: Dict[int, str] = {}
         self._day_plans: Optional[
@@ -304,9 +253,7 @@ class ReplayUniverse:
         # Mirror of the community bulk-load (make_cache + load_community):
         # the merged slots, and each result stored once in first-seen order.
         self.initial = _DayPlan(
-            self.map_content(content) if content is not None else [],
-            self.costs.results_per_entry,
-            None,
+            self.map_content(content) if content is not None else [], None
         )
         self.db0: Dict[int, Tuple[int, int, int]] = {}
         self.file_sizes0 = [0] * self.costs.n_files
@@ -340,9 +287,7 @@ class ReplayUniverse:
         plans: List[_DayPlan] = []
         prev = self.initial
         for content in contents:
-            prev = _DayPlan(
-                self.map_content(content), self.costs.results_per_entry, prev
-            )
+            prev = _DayPlan(self.map_content(content), prev)
             plans.append(prev)
         self._day_plans = (list(contents), plans)
         return plans
@@ -350,66 +295,47 @@ class ReplayUniverse:
     def map_content(self, content: CacheContent) -> List[Tuple]:
         """Content pairs as (qid, rid, score, record_bytes) tuples.
 
-        A content mined from this log's name tables maps its key columns
-        as the events' keys are mapped; any other maps its entries' text.
-        Both give a pair the same ids: two keys share text only within
-        the community tables, where the first key wins either way.
+        A content mined from this log's name tables holds its pairs' ids
+        as key columns; any other maps its entries' text to the log's
+        keys.
         """
         columns = content.columns
         if columns is not None and columns.names.shares_names(self.log):
             return list(zip(
-                self.map_qkeys(columns.query_keys).tolist(),
-                self.map_rkeys(columns.result_keys).tolist(),
+                columns.query_keys.tolist(),
+                columns.result_keys.tolist(),
                 (columns.volumes / columns.query_totals).tolist(),
                 columns.record_bytes.tolist(),
             ))
-        entries = []
-        for entry in content.entries:
+        entries = content.entries
+        if entries and self._qid_of_str is None:
+            self._map_text()
+        pairs = []
+        for entry in entries:
             qid = self._qid_of_str.get(entry.query)
             rid = self._rid_of_url.get(entry.url)
-            if qid is None or rid is None:
-                self._ensure_personal_maps()
-                qid = self._qid_of_str.get(entry.query)
-                rid = self._rid_of_url.get(entry.url)
             if qid is None or rid is None:
                 raise ValueError(
                     "cache content refers to strings outside this log's "
                     "universe; vectorized replay requires content mined "
                     "from the replayed log"
                 )
-            entries.append((qid, rid, entry.score, entry.record_bytes))
-        return entries
+            pairs.append((qid, rid, entry.score, entry.record_bytes))
+        return pairs
 
-    def _ensure_personal_maps(self) -> None:
-        """Extend the string maps with the log's unique (personal) pairs.
-
-        Deferred until a content entry actually references one — cache
-        content is community-dominated, and a full pass over the unique
-        table is measurable at paper scale.
-        """
-        if self._personal_mapped:
-            return
-        self._personal_mapped = True
+    def _map_text(self) -> None:
+        """Map every query string and result URL of the log, community
+        and personal, to its key."""
+        community = self.log.community
+        n_queries, n_results = community.n_queries, community.n_results
+        qid_of_str = dict(zip(community.query_strings, range(n_queries)))
+        rid_of_url = dict(zip(community.result_urls, range(n_results)))
         for qkey, (text, url) in self.log._unique_names.items():
-            self._qid_of_str.setdefault(text, int(qkey))
-            rid = self.n_results + (int(qkey) - self.n_queries)
-            self._rid_of_url.setdefault(url, rid)
+            qid_of_str[text] = qkey
+            rid_of_url[url] = n_results + (qkey - n_queries)
+        self._qid_of_str, self._rid_of_url = qid_of_str, rid_of_url
 
     # -- key-space helpers ----------------------------------------------------
-
-    def map_qkeys(self, qkeys: np.ndarray) -> np.ndarray:
-        qid = qkeys.astype(np.int64, copy=True)
-        mask = qid < self.n_queries
-        if mask.any():
-            qid[mask] = self.qid_by_ckey[qid[mask]]
-        return qid
-
-    def map_rkeys(self, rkeys: np.ndarray) -> np.ndarray:
-        rid = rkeys.astype(np.int64, copy=True)
-        mask = rid < self.n_results
-        if mask.any():
-            rid[mask] = self.rid_by_ckey[rid[mask]]
-        return rid
 
     def file_of(self, rid: int) -> int:
         """Database file index of a result: hash64(url) % n_files."""
@@ -446,26 +372,18 @@ class _DayPlan:
     holds them after loading the content: insertion order, the highest
     score of a repeated pair, access flags clear.  ``results`` maps each
     result to its first entry's record size, in first-seen order.
-    ``n_entries``/``n_slots`` size the hash table, and ``repeats``
-    counts the entries of the pairs the content lists more than once.
 
     The rest is the diff from ``prev``, the plan a refresh replaces:
-    ``new_results`` (first-seen order, with record sizes),
-    ``gone_results`` and ``n_gone_queries``.  A query whose merged pairs
-    equal ``prev``'s reuses ``prev``'s list, so consecutive plans share
-    most of their slot lists.
+    ``new_results`` (first-seen order, with record sizes) and
+    ``gone_results``.  A query whose merged pairs equal ``prev``'s
+    reuses ``prev``'s list, so consecutive plans share most of their
+    slot lists.
     """
 
-    __slots__ = (
-        "slots", "results", "n_content", "n_entries", "n_slots", "repeats",
-        "new_results", "gone_results", "n_gone_queries",
-    )
+    __slots__ = ("slots", "results", "new_results", "gone_results")
 
     def __init__(
-        self,
-        entries: List[Tuple],
-        width: int,
-        prev: Optional["_DayPlan"],
+        self, entries: List[Tuple], prev: Optional["_DayPlan"]
     ) -> None:
         slots: Dict[int, List[List]] = {}
         results: Dict[int, int] = {}
@@ -479,15 +397,6 @@ class _DayPlan:
                 slots[qid] = prev_slots[qid]
         self.slots = slots
         self.results = results
-        self.n_content = len(entries)
-        self.n_slots = sum(len(merged) for merged in slots.values())
-        self.n_entries = sum(
-            chain_entries(len(merged), width) for merged in slots.values()
-        )
-        self.repeats: Dict[Tuple[int, int], int] = {}
-        if self.n_slots != self.n_content:
-            counts = Counter((qid, rid) for qid, rid, _s, _b in entries)
-            self.repeats = {pair: n for pair, n in counts.items() if n > 1}
         self.new_results = [
             (rid, record_bytes) for rid, record_bytes in results.items()
             if rid not in prev_results
@@ -495,7 +404,6 @@ class _DayPlan:
         self.gone_results = [
             rid for rid in prev_results if rid not in results
         ]
-        self.n_gone_queries = sum(1 for qid in prev_slots if qid not in slots)
 
 
 class _UserCacheState:
@@ -528,15 +436,13 @@ class _UserCacheState:
         self.file_entries = list(universe.file_entries0)
         self.garbage = 0
 
-    def add_result(self, rid: int, record_bytes: int) -> Tuple[int, int, int]:
+    def add_result(self, rid: int, record_bytes: int) -> None:
         file_index = self.universe.file_of(rid)
-        stored = (file_index, self.file_sizes[file_index], record_bytes)
-        self.db[rid] = stored
+        self.db[rid] = (file_index, self.file_sizes[file_index], record_bytes)
         self.file_sizes[file_index] += (
             record_bytes + self.universe.costs.header_entry_bytes
         )
         self.file_entries[file_index] += 1
-        return stored
 
     def drop_result(self, rid: int) -> None:
         """Mirror of :meth:`ResultDatabase.remove_result`."""
@@ -548,27 +454,7 @@ class _UserCacheState:
 # -- daily refresh ----------------------------------------------------------
 
 
-def _table_size(
-    base: _DayPlan, overlay: Dict[int, List[List]], width: int
-) -> Tuple[int, int]:
-    """(entries, slots) of ``base``'s table with ``overlay`` swapped in."""
-    n_entries = base.n_entries
-    n_slots = base.n_slots
-    for qid, slots in overlay.items():
-        shadowed = base.slots.get(qid)
-        if shadowed:
-            n_entries -= chain_entries(len(shadowed), width)
-            n_slots -= len(shadowed)
-        n_entries += chain_entries(len(slots), width)
-        n_slots += len(slots)
-    return n_entries, n_slots
-
-
-def _refresh_state(
-    state: _UserCacheState,
-    day: _DayPlan,
-    patches: Optional[List[UpdatePatch]],
-) -> None:
+def _refresh_state(state: _UserCacheState, day: _DayPlan) -> None:
     """:meth:`CacheUpdateServer.refresh_with_content` with ``day``'s
     content, applied to a daily user's overlay.
 
@@ -581,17 +467,8 @@ def _refresh_state(
     referenced, so it gains ``day``'s new results it lacks and loses the
     results no retained pair or ``day`` references: ``day``'s gone
     results and the overlay's own.
-
-    Every state change runs on each call.  The :class:`UpdatePatch` the
-    server would return (the table's wire sizes before and after, the
-    pair, result and query counts, the per-file patch bytes and the
-    compaction's costs) is computed only when ``patches`` collects it,
-    and appended there.
     """
     costs = state.universe.costs
-    collect = patches is not None
-    prev, overlay = state.base, state.slots
-    day_slots = day.slots
 
     # Step 2: prune never-accessed and decayed pairs, noting the results
     # the kept pairs reference and those the pruned ones did.
@@ -599,7 +476,7 @@ def _refresh_state(
     retained_results = set()
     pruned_results = []
     min_score = costs.retention_min_score
-    for qid, slots in overlay.items():
+    for qid, slots in state.slots.items():
         kept = None
         for slot in slots:
             if slot[2] and slot[1] >= min_score:
@@ -610,40 +487,22 @@ def _refresh_state(
                 retained_results.add(slot[0])
             else:
                 pruned_results.append(slot[0])
-    if collect:
-        width = costs.results_per_entry
-        n_entries, n_slots = _table_size(prev, overlay, width)
-        bytes_uploaded = wire_bytes(n_entries, n_slots)
-        pairs_removed = n_slots - sum(len(kept) for kept in retained.values())
-        pairs_added = day.n_content
-        results_added = 0
-        patch_files: Dict[int, int] = {}
 
-    # Step 3: merge the fresh popular set (max score wins).  An entry
-    # adds a pair unless the pair was retained.
+    # Step 3: merge the fresh popular set (max score wins).
     for rid, record_bytes in day.new_results:
         if rid not in state.db:
-            file_index = state.add_result(rid, record_bytes)[0]
-            if collect:
-                results_added += 1
-                patch_files[file_index] = (
-                    patch_files.get(file_index, 0)
-                    + record_bytes
-                    + costs.header_entry_bytes
-                )
+            state.add_result(rid, record_bytes)
+    day_slots = day.slots
     for qid, kept in retained.items():
         for rid, score, _accessed in day_slots.get(qid, ()):
             for slot in kept:
                 if slot[0] == rid:
                     slot[1] = max(slot[1], score)
-                    if collect:
-                        pairs_added -= day.repeats.get((qid, rid), 1)
                     break
             else:
                 kept.append([rid, score, False])
 
     # Step 4: garbage-collect the database, then compact.
-    n_results = len(state.db)
     for rid in day.gone_results:
         if rid not in retained_results:
             state.drop_result(rid)
@@ -657,65 +516,17 @@ def _refresh_state(
             state.drop_result(rid)
     state.slots = retained
     state.base = day
-    compacted = None
     if state.garbage > costs.compaction_threshold * max(
         sum(state.file_sizes), 1
     ):
-        compacted = _compact_state(state, priced=collect)
-    if not collect:
-        return
-
-    # The patch: step 4 also counts the queries left without pairs.
-    queries_pruned = day.n_gone_queries
-    for qid in overlay:
-        if qid in day_slots:
-            continue
-        if qid in retained and qid in prev.slots:
-            queries_pruned -= 1  # gone from the content, but retained
-        elif qid not in retained and qid not in prev.slots:
-            queries_pruned += 1  # the user's own query lost every pair
-    n_entries, n_slots = _table_size(day, retained, width)
-    patches.append(UpdatePatch(
-        bytes_uploaded=bytes_uploaded,
-        bytes_downloaded=wire_bytes(n_entries, n_slots)
-        + sum(patch_files.values()),
-        pairs_added=pairs_added,
-        pairs_removed=pairs_removed,
-        results_added=results_added,
-        results_removed=n_results - len(state.db),
-        queries_pruned=queries_pruned,
-        compaction=compacted,
-        patch_files=patch_files,
-    ))
+        _compact_state(state)
 
 
-def _compact_state(
-    state: _UserCacheState, priced: bool
-) -> Optional[CompactionResult]:
+def _compact_state(state: _UserCacheState) -> None:
     """Mirror of :meth:`ResultDatabase.compact` on the state: every live
     result is laid out again in insertion order and the garbage is
-    cleared.  With ``priced``, returns the :class:`CompactionResult`,
-    whose costs sum the live results' reads in file order and then one
-    reopen per result, as the database's do."""
+    cleared."""
     costs = state.universe.costs
-    compacted = None
-    if priced:
-        latency = 0.0
-        energy = 0.0
-        live = sorted(state.db.values())  # by (file, offset)
-        for _file, offset, record_bytes in live:
-            lat, en = costs.read_cost(offset, record_bytes)
-            latency += lat
-            energy += en
-        for _ in live:
-            latency += costs.open_s
-            energy += costs.open_j
-        compacted = CompactionResult(
-            reclaimed_bytes=state.garbage,
-            live_results=len(live),
-            latency_s=latency,
-            energy_j=energy,
-        )
     state.garbage = 0
     old = list(state.db.items())  # preserves _index insertion order
     state.file_sizes = [0] * costs.n_files
@@ -723,7 +534,6 @@ def _compact_state(
     state.db = {}
     for rid, (_file, _offset, record_bytes) in old:
         state.add_result(rid, record_bytes)
-    return compacted
 
 
 # -- user-level entry points -------------------------------------------------
@@ -735,7 +545,6 @@ def _replay_user_arrays(
     mode: str,
     daily_contents: Optional[List[CacheContent]],
     t_start: float,
-    patches_out: Optional[List[UpdatePatch]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(hit, latency, energy) arrays of one user's replay.
 
@@ -756,10 +565,10 @@ def _replay_user_arrays(
         return empty.astype(bool), empty, empty
     costs = universe.costs
     personalized = mode != CacheMode.COMMUNITY_ONLY
-    qids = universe.map_qkeys(events["query_key"]).tolist()
+    qids = events["query_key"].tolist()
     if personalized:
         rkeys = events["result_key"]
-        rids = universe.map_rkeys(rkeys).tolist()
+        rids = rkeys.tolist()
         record_bytes = record_bytes_column(universe.log, rkeys).tolist()
     state = _UserCacheState(universe, daily=bool(daily_contents))
     plans = universe.day_plans(daily_contents) if daily_contents else []
@@ -781,7 +590,7 @@ def _replay_user_arrays(
     for i, (qid, event_day) in enumerate(zip(qids, days)):
         if event_day >= day:
             while day <= event_day:
-                _refresh_state(state, plans[day], patches_out)
+                _refresh_state(state, plans[day])
                 day += 1
             overlay, base_slots = state.slots, state.base.slots
             db, file_entries = state.db, state.file_entries
@@ -972,34 +781,24 @@ def replay_user_vectorized(
     t_start: float,
     t_end: float,
     metrics: Optional[MetricsCollector] = None,
-    collect_patches: bool = False,
-):
-    """Vectorized replay of one user; returns (metrics, patches).
+) -> MetricsCollector:
+    """Vectorized replay of one user; returns its metrics.
 
-    ``patches`` is the per-refresh :class:`UpdatePatch` list when
-    ``collect_patches`` and daily contents are given, else ``None`` —
-    the hook the refresh-parity tests use to compare update accounting
-    against the scalar :class:`CacheUpdateServer`.  Without it the
-    refreshes change the same state and skip the accounting.  Opens no
-    spans:
-    :func:`repro.sim.replay.replay_one_user` serves traced runs event by
-    event instead.
+    Opens no spans: :func:`repro.sim.replay.replay_one_user` serves
+    traced runs event by event instead.
     """
     universe = _universe_for(log, content, mode)
     batch = _batch_for(log, t_start, t_end)
     events = batch.for_user(user_id)
-    patches: Optional[List[UpdatePatch]] = (
-        [] if (collect_patches and daily_contents) else None
-    )
     if metrics is None:
         metrics = MetricsCollector()
     hit, latency, energy = _replay_user_arrays(
-        universe, events, mode, daily_contents, t_start, patches
+        universe, events, mode, daily_contents, t_start
     )
     metrics.defer(
         hit, partial(_emit_outcomes, universe, events, hit, latency, energy)
     )
-    return metrics, patches
+    return metrics
 
 
 def clear_caches() -> None:

@@ -1,17 +1,18 @@
 """Pin the update protocol on the per-event object model.
 
-A daily-update replay serves each user event by event through a
-:class:`PocketSearchEngine` over a ``make_cache`` cache and runs
-:meth:`CacheUpdateServer.refresh_with_content` at every day boundary,
-as :func:`repro.sim.replay.replay_user` does.  Every :class:`UpdatePatch`
-is hashed, and so is each user's final table shape (entries, footprint,
-wire length) and hit/miss count.  The digest pins what a rewrite of the
-hash table, the cache or the update server must leave unchanged.
+A daily-update replay serves each user event by event through
+:func:`repro.sim.replay.replay_user`, a :class:`PocketSearchEngine` over
+a ``make_cache`` cache, which runs
+:meth:`CacheUpdateServer.refresh_with_content` at every day boundary.
+Every :class:`UpdatePatch` is hashed, and so is each user's final table
+shape (entries, footprint, wire length) and hit/miss count.  The digest
+pins what a rewrite of the hash table, the cache or the update server
+must leave unchanged.
 
 Each (mode, user) is also replayed by the batch engine
-(:func:`replay_user_vectorized` with ``collect_patches=True``).  Its
-patches, written as the per-event records, and its outcomes must equal
-the per-event run's.
+(:func:`replay_user_vectorized`).  Its outcomes, and its cache state
+after every refresh and after the last event, must equal the per-event
+run's.
 
 Tier-1 checks seed 7.  Seeds 1 and 4099, the logs perfbench replays, are
 too slow for the suite; ``--all-seeds`` checks them, and a digest or a
@@ -25,18 +26,16 @@ import sys
 
 from repro.experiments.common import default_log
 from repro.logs.schema import MONTH_SECONDS
-from repro.pocketsearch.content import build_cache_content, result_record_bytes
-from repro.pocketsearch.engine import PocketSearchEngine
-from repro.pocketsearch.manager import CacheUpdateServer
+from repro.pocketsearch.content import build_cache_content
 from repro.sim.replay import (
-    DAY_SECONDS,
     CacheMode,
     ReplayConfig,
     _daily_contents,
-    make_cache,
     select_replay_users,
 )
-from repro.sim.vectorized import month_content, replay_user_vectorized
+from repro.sim.vectorized import month_content
+
+from tests.sim.test_vectorized_seams import batch_run, per_event_run
 
 USERS_PER_CLASS = 3
 MODES = (CacheMode.FULL, CacheMode.COMMUNITY_ONLY)
@@ -75,7 +74,8 @@ def update_records(seed):
     ``records`` holds one repr per UpdatePatch and per user's final
     state, in replay order (mode, then class and user id, then day).
     ``batch_mismatches`` names each (mode, user) whose batch replay
-    differs from the per-event run in its patches or its outcomes.
+    differs from the per-event run in its outcomes or in its cache
+    state after a refresh or after the last event.
     """
     log, content, daily, selected, t_start, t_end = digest_inputs(seed)
     records = []
@@ -83,46 +83,20 @@ def update_records(seed):
     for mode in MODES:
         for user_class, uids in selected.items():
             for uid in uids:
-                cache = make_cache(content, mode)
-                engine = PocketSearchEngine(cache)
-                server = CacheUpdateServer()
-                stream = log.for_user(uid).window(t_start, t_end)
-                patch_records = []
-                outcomes = []
-                day = 0
-                for i in range(stream.n_events):
-                    t = float(stream.timestamps[i])
-                    event_day = min(
-                        int((t - t_start) // DAY_SECONDS), len(daily) - 1
-                    )
-                    while day <= event_day:
-                        patch = server.refresh_with_content(cache, daily[day])
-                        patch_records.append(
-                            f"{mode} {uid} day {day} {patch!r}"
-                        )
-                        day += 1
-                    rkey = int(stream.result_keys[i])
-                    result = engine.serve_query(
-                        query=stream.query_string(int(stream.query_keys[i])),
-                        clicked_url=stream.result_url(rkey),
-                        record_bytes=result_record_bytes(stream, rkey),
-                        navigational=bool(stream.navigational[i]),
-                        timestamp=t,
-                    )
-                    outcomes.append(result.outcome)
-                records.extend(patch_records)
-                metrics, patches = replay_user_vectorized(
-                    log, content, daily, mode, uid, t_start, t_end,
-                    collect_patches=True,
+                outcomes, states, patches, cache = per_event_run(
+                    log, content, daily, mode, uid, t_start, t_end
                 )
-                batch_records = [
+                records.extend(
                     f"{mode} {uid} day {day} {patch!r}"
                     for day, patch in enumerate(patches)
-                ]
-                if batch_records != patch_records:
-                    mismatches.append(f"{mode} {uid} patches")
-                if metrics.outcomes != outcomes:
+                )
+                got_outcomes, got_states = batch_run(
+                    log, content, daily, mode, uid, t_start, t_end
+                )
+                if got_outcomes != outcomes:
                     mismatches.append(f"{mode} {uid} outcomes")
+                if got_states != states:
+                    mismatches.append(f"{mode} {uid} states")
                 table = cache.hashtable
                 records.append(
                     f"{mode} {user_class.value} {uid} final "

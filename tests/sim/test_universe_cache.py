@@ -66,7 +66,7 @@ def test_replacement_content_gets_its_own_universe(
     second = CacheContent(
         entries=kept, total_log_volume=month0_content.total_log_volume
     )
-    got, _ = vectorized.replay_user_vectorized(
+    got = vectorized.replay_user_vectorized(
         small_log, second, None, MODE, busiest_user, T_START, T_END
     )
     want = replay_user(

@@ -8,24 +8,24 @@ that refresh unexercised.  Here Hypothesis draws 2-5 daily contents from
 the small log's month-0 content: pairs dropped and re-added, re-scored
 and reordered, a repeated (query, url) entry, an empty day.  It also
 draws the retention score, so that clicked pairs age out as well.  Every
-outcome and :class:`UpdatePatch` of one user's vectorized replay must
-equal what the real :class:`CacheUpdateServer` does to a real cache.
+outcome of one user's vectorized replay, and the user's cache state after
+every refresh and after the last event, must equal what
+:func:`repro.sim.replay.replay_user` and the real
+:class:`CacheUpdateServer` leave in a real cache.
 """
 
 from dataclasses import replace
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.logs.schema import UserClass
 from repro.pocketsearch.content import CacheContent, build_cache_content
-from repro.pocketsearch.manager import CacheUpdateServer
 from repro.sim import vectorized
 from repro.sim.replay import CacheMode, ReplayConfig, select_replay_users
 
 from tests.sim import test_vectorized_seams as seams
-from tests.sim.test_vectorized_seams import T_END, T_START
+from tests.sim.test_vectorized_seams import T_START
 
 #: Scores a re-scored or repeated entry takes: around the retention
 #: score (0.05) and up to the content maximum.
@@ -127,7 +127,7 @@ class TestRefreshParity:
     )
     @PARITY
     @given(data=st.data())
-    def test_outcomes_and_patches_match_the_server(
+    def test_outcomes_and_states_match_the_server(
         self, small_log, month0_content, parity_users, mode, data
     ):
         uid = data.draw(st.sampled_from(parity_users), label="user")
@@ -149,21 +149,7 @@ class TestRefreshParity:
             label="daily",
         )
         retention = data.draw(st.sampled_from(RETENTION), label="retention")
-        with pytest.MonkeyPatch.context() as patch:
-            # Both engines take the protocol's constants from the server.
-            patch.setattr(
-                seams, "CacheUpdateServer",
-                partial(CacheUpdateServer, retention_min_score=retention),
-            )
-            patch.setattr(
-                vectorized._cost_model(), "retention_min_score", retention
-            )
-            want_patches, want_outcomes = seams._scalar_patches(
-                small_log, month0_content, daily, uid, mode
-            )
-            metrics, patches = vectorized.replay_user_vectorized(
-                small_log, month0_content, daily, mode, uid, T_START, T_END,
-                collect_patches=True,
-            )
-        assert metrics.outcomes == want_outcomes
-        assert patches == want_patches
+        seams.assert_same_replay(
+            small_log, month0_content, daily, mode, uid,
+            retention_min_score=retention,
+        )
