@@ -36,17 +36,29 @@ DIURNAL_WEIGHTS = np.array(
         1.30, 1.45, 1.50, 1.30, 0.95, 0.55,  # 18-23
     ]
 )
-_DIURNAL_P = DIURNAL_WEIGHTS / DIURNAL_WEIGHTS.sum()
+
+
+def _choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The cdf ``rng.choice(len(p), size=n, p=p)`` searches after checking
+    ``p``: ``cdf.searchsorted(rng.random(n), side="right")`` draws the same
+    picks and leaves the generator in the same state."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+_DIURNAL_CDF = _choice_cdf(DIURNAL_WEIGHTS / DIURNAL_WEIGHTS.sum())
 
 
 def _sample_timestamps(
     volume: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Event times within one month, following the diurnal profile."""
-    days = rng.integers(0, 30, size=volume)
-    hours = rng.choice(24, size=volume, p=_DIURNAL_P)
-    seconds = rng.uniform(0, 3600, size=volume)
-    return np.sort(days * 86400.0 + hours * 3600.0 + seconds)
+    times = rng.integers(0, 30, size=volume) * 86400.0
+    times += _DIURNAL_CDF.searchsorted(rng.random(volume), side="right") * 3600.0
+    times += rng.uniform(0, 3600, size=volume)
+    times.sort()
+    return times
 
 #: Desktop-mode overrides (Section 4 contrasts; see DESIGN.md): desktop
 #: query streams are flatter and less repetitive than mobile.
@@ -236,22 +248,22 @@ def generate_logs(
         population = UserPopulation.build(PopulationConfig())
     rng = np.random.default_rng(config.seed)
 
-    user_col: List[np.ndarray] = []
+    volumes: List[int] = []
     time_col: List[np.ndarray] = []
     pair_col: List[np.ndarray] = []
-    unique_names: Dict[int, Tuple[str, str]] = {}
     unique_counter = 0
 
     n_pairs = community.n_pairs
     siblings = PairGroups.siblings(community)
     variants = PairGroups.variants(community)
     for user in population.users:
-        staples = _draw_staples(user, community, rng, config.desktop)
+        staples, staple_cdf = _draw_staples(user, community, rng, config.desktop)
         for m in range(config.months):
             volume = _monthly_volume(user, config, rng)
             pairs, unique_counter = _draw_month_pairs(
                 user,
                 staples,
+                staple_cdf,
                 volume,
                 community,
                 siblings,
@@ -262,50 +274,44 @@ def generate_logs(
             )
             times = _sample_timestamps(volume, rng)
             times += m * MONTH_SECONDS
-            user_col.append(np.full(volume, user.user_id, dtype=np.int64))
+            volumes.append(volume)
             time_col.append(times)
             pair_col.append(pairs)
     # The draws were the groupings' only use: free them before the key
     # columns are allocated.
     del siblings, variants
 
-    user_ids = np.concatenate(user_col)
+    def per_event(per_user: list, dtype: type) -> np.ndarray:
+        # No per-event index array: a 2.3 MB temporary, once freed, raises
+        # glibc's mmap threshold and the serve stack's peak RSS with it.
+        return np.repeat(np.repeat(np.array(per_user, dtype=dtype), config.months), volumes)
+
+    users = population.users
+    user_ids = per_event([u.user_id for u in users], np.int64)
     timestamps = np.concatenate(time_col)
     pair_ids = np.concatenate(pair_col)
 
-    # Resolve pair ids into query/result keys and flags.
-    query_keys = np.empty(len(pair_ids), dtype=np.int64)
-    result_keys = np.empty(len(pair_ids), dtype=np.int64)
-    navigational = np.zeros(len(pair_ids), dtype=bool)
-    is_community = pair_ids < n_pairs
-    comm = pair_ids[is_community]
-    query_keys[is_community] = community.pair_query[comm]
-    result_keys[is_community] = community.pair_result[comm]
-    navigational[is_community] = community.query_navigational[
-        community.pair_query[comm]
-    ]
-    uniq = ~is_community
+    # Resolve pair ids into query/result keys and flags.  Unique pair
+    # ``n_pairs + i`` is query ``n_queries + i`` and result ``n_results + i``.
+    n_queries = community.n_queries
+    unique = np.arange(unique_counter, dtype=np.int64)
+    query_keys = np.append(community.pair_query, n_queries + unique)[pair_ids]
+    result_keys = np.append(community.pair_result, community.n_results + unique)[pair_ids]
+    navigational = np.append(
+        community.query_navigational[community.pair_query], np.zeros(unique_counter, bool)
+    )[pair_ids]
+
+    # Name the unique pairs, each handed out to one event, in event order.
+    uniq = np.flatnonzero(pair_ids >= n_pairs)
     unique_offset = pair_ids[uniq] - n_pairs
-    query_keys[uniq] = community.n_queries + unique_offset
-    result_keys[uniq] = community.n_results + unique_offset
+    unique_names: Dict[int, Tuple[str, str]] = {}
+    for offset, owner in zip(unique_offset.tolist(), user_ids[uniq].tolist()):
+        tag = f"{owner}-{offset}"
+        unique_names[n_queries + offset] = (f"personal query {tag}", f"www.personal{tag}.net")
 
-    # Name the unique pairs that actually occurred.
-    owners = user_ids[uniq]
-    for offset, owner in zip(unique_offset.tolist(), owners.tolist()):
-        qkey = community.n_queries + offset
-        if qkey not in unique_names:
-            unique_names[qkey] = (
-                f"personal query {owner}-{offset}",
-                f"www.personal{owner}-{offset}.net",
-            )
-
-    max_uid = max(u.user_id for u in population.users)
-    code_by_uid = np.zeros(max_uid + 1, dtype=np.int8)
-    for u in population.users:
-        code_by_uid[u.user_id] = _DEVICE_CODES[
-            "desktop" if config.desktop else u.device
-        ]
-    device_codes = code_by_uid[user_ids]
+    device_codes = per_event(
+        [_DEVICE_CODES["desktop" if config.desktop else u.device] for u in users], np.int8
+    )
 
     return SearchLog(
         community,
@@ -329,8 +335,9 @@ def _draw_staples(
     community: CommunityModel,
     rng: np.random.Generator,
     desktop: bool,
-) -> np.ndarray:
-    """A user's persistent staple pairs (popular-skewed, deduplicated)."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """A user's persistent staple pairs (popular-skewed, deduplicated) and
+    the cdf their picks search (see :func:`_choice_cdf`)."""
     from repro.logs.users import STAPLE_TILT
 
     tilt = STAPLE_TILT * user.community_tilt
@@ -345,7 +352,8 @@ def _draw_staples(
                 staples.append(pair)
                 if len(staples) == user.n_staples:
                     break
-    return np.asarray(staples, dtype=np.int64)
+    weights = user.staple_weights[: len(staples)]
+    return np.asarray(staples, dtype=np.int64), _choice_cdf(weights / weights.sum())
 
 
 def _monthly_volume(
@@ -358,6 +366,7 @@ def _monthly_volume(
 def _draw_month_pairs(
     user: UserBehavior,
     staples: np.ndarray,
+    staple_cdf: np.ndarray,
     volume: int,
     community: CommunityModel,
     siblings: PairGroups,
@@ -372,17 +381,13 @@ def _draw_month_pairs(
         routine_prob *= DESKTOP_ROUTINE_SCALE
         explore_tilt /= DESKTOP_EXPLORE_TILT_SCALE
 
-    mode = rng.random(volume)
-    routine_mask = mode < routine_prob
-    n_routine = int(routine_mask.sum())
+    routine_mask = rng.random(volume) < routine_prob
+    n_routine = np.count_nonzero(routine_mask)
     n_explore = volume - n_routine
 
     pairs = np.empty(volume, dtype=np.int64)
     if n_routine:
-        weights = user.staple_weights[: len(staples)]
-        weights = weights / weights.sum()
-        idx = rng.choice(len(staples), size=n_routine, p=weights)
-        routine_pairs = staples[idx]
+        routine_pairs = staples[staple_cdf.searchsorted(rng.random(n_routine), side="right")]
         # Users re-type their staples in alternative phrasings: with some
         # probability an event uses a misspelling/shortcut sibling of the
         # staple pair (same destination, different query string).
@@ -397,7 +402,7 @@ def _draw_month_pairs(
         pairs[routine_mask] = routine_pairs
     if n_explore:
         tail_mask = rng.random(n_explore) < user.unique_tail_prob
-        n_tail = int(tail_mask.sum())
+        n_tail = np.count_nonzero(tail_mask)
         n_comm = n_explore - n_tail
         explore = np.empty(n_explore, dtype=np.int64)
         if n_comm:

@@ -107,9 +107,8 @@ class CommunityModel:
             raise ValueError(f"n must be non-negative, got {n}")
         if tilt <= 0:
             raise ValueError(f"tilt must be positive, got {tilt}")
-        cdf = self._tilted_cdf(tilt)
-        draws = np.searchsorted(cdf, rng.random(n), side="right")
-        return np.minimum(draws, self.n_pairs - 1).astype(np.int64)
+        draws = self._tilted_cdf(tilt).searchsorted(rng.random(n), side="right")
+        return np.minimum(draws, self.n_pairs - 1, out=draws)
 
     def _tilted_cdf(self, tilt: float) -> np.ndarray:
         key = round(float(tilt), 6)
@@ -214,7 +213,12 @@ class PairGroups:
         for g in np.flatnonzero(sizes >= _PAIRWISE_SUM_MIN):
             totals[g] = prob[starts[g] : last[g] + 1].sum()
         probs = prob / totals[group_at]
-        cdf = running_sums(probs)
+        # The cdf runs on into ones for the width of the largest group, so a
+        # redraw may read that many entries from any group's start.
+        width = int(sizes.max())
+        padded = np.ones(len(members) + width - 1)
+        cdf = padded[: len(members)]
+        cdf[:] = running_sums(probs)
         cdf /= cdf[last][group_at]
 
         self.members = members
@@ -225,6 +229,11 @@ class PairGroups:
         self.sizes = sizes
         self.totals = totals
         self._pair_prob = pair_prob
+        # Per pair, its group's start and whether the group has other pairs.
+        self._pair_start = starts[self.group]
+        self._pair_multi = sizes[self.group] > 1
+        self._padded_cdf = padded
+        self._cols = np.arange(width)
 
     @classmethod
     def siblings(cls, community: CommunityModel) -> "PairGroups":
@@ -263,16 +272,14 @@ class PairGroups:
         ``ids[rng.choice(len(ids), p=probs)]``.
         """
         out = pairs.copy()
-        g = self.group[pairs]
-        multi = np.flatnonzero(self.sizes[g] > 1)
+        multi = self._pair_multi[pairs].nonzero()[0]
         if not len(multi):
             return out
-        starts, sizes = self.starts[g[multi]], self.sizes[g[multi]]
+        starts = self._pair_start[pairs[multi]]
         u = rng.random(len(multi))
         # ``searchsorted(cdf, u, side="right")`` within each group: the
-        # count of its cdf entries <= u.  Columns past a group's end repeat
-        # its last entry, 1.0, which no u in [0, 1) reaches.
-        cols = np.minimum(np.arange(int(sizes.max())), sizes[:, None] - 1)
-        picks = (self.cdf[starts[:, None] + cols] <= u[:, None]).sum(axis=1)
-        out[multi] = self.members[starts + picks]
+        # first of its cdf entries above u.  A group's last entry is 1.0,
+        # which no u in [0, 1) reaches, so the first lies in the group.
+        above = self._padded_cdf[starts[:, None] + self._cols] > u[:, None]
+        out[multi] = self.members[starts + above.argmax(axis=1)]
         return out

@@ -26,8 +26,6 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from repro.logs.schema import is_navigational
-
 
 @dataclass(frozen=True)
 class VocabularyConfig:
@@ -61,12 +59,23 @@ class VocabularyConfig:
             raise ValueError("canonical_query_share must be in (0, 1]")
 
 
-_NAV_ALIAS_PATTERNS = (
-    "syte{t}", "sitee{t}", "cite{t}", "sit {t}", "zite{t}", "syt {t}", "cyte{t}"
-)
-_NON_NAV_ALIAS_PATTERNS = (
-    "topc {t}", "topik {t}", "tpc {t}", "topid {t}", "topi {t}", "tobic {t}"
-)
+#: A topic's queries by position, its canonical query first: each is its
+#: prefix followed by the topic id.  A site's canonical query is a substring
+#: of the site's URL and no other query is one of its topic's first URL, so
+#: by the paper's test (:func:`repro.logs.schema.is_navigational`) exactly
+#: the canonical queries of sites are navigational.
+_NAV_QUERY_PREFIXES = ("site", "syte", "sitee", "cite", "sit ", "zite", "syt ", "cyte")
+_NON_NAV_QUERY_PREFIXES = ("topic ", "topc ", "topik ", "tpc ", "topid ", "topi ", "tobic ")
+
+#: Per result kind, the URL's text around the id and the title's bytes
+#: besides the topic id's digits: a site ("Site 7"), its secondary page
+#: ("Site 7 login"), then the pages of a non-navigational topic, which has
+#: at most 1 + 2 results ("Topic 7 page 0").  A shared result is of the
+#: site kind with the shared site's id, and is titled "Shared site result".
+_RESULT_KINDS = [
+    ("www.site", ".com", len("Site ")),
+    ("www.site", ".com/login", len("Site  login")),
+] + [("www.info", f".org/page{k}", len(f"Topic  page {k}")) for k in range(3)]
 
 
 def _zipf_weights(n: int, s: float) -> np.ndarray:
@@ -132,35 +141,6 @@ def _share_column(
     return table[np.repeat(counts, counts), ragged(counts)[1]]
 
 
-def _topic_queries(topic_id: int, n_aliases: int, navigational: bool) -> List[str]:
-    """A topic's canonical query, then its aliases."""
-    if navigational:
-        canonical, patterns = f"site{topic_id}", _NAV_ALIAS_PATTERNS
-    else:
-        canonical, patterns = f"topic {topic_id}", _NON_NAV_ALIAS_PATTERNS
-    return [canonical] + [p.format(t=topic_id) for p in patterns[:n_aliases]]
-
-
-def _topic_results(
-    topic_id: int, n_results: int, navigational: bool, shared_site: int
-) -> Tuple[List[str], List[str]]:
-    """URLs and titles of a topic's results.
-
-    A site's second result is its secondary page; a non-navigational
-    topic's second result is site ``shared_site`` unless that is negative.
-    """
-    if navigational:
-        url = f"www.site{topic_id}.com"
-        urls = [url, f"{url}/login"]
-        titles = [f"Site {topic_id}", f"Site {topic_id} login"]
-        return urls[:n_results], titles[:n_results]
-    urls = [f"www.info{topic_id}.org/page{k}" for k in range(n_results)]
-    titles = [f"Topic {topic_id} page {k}" for k in range(n_results)]
-    if shared_site >= 0:
-        urls[1], titles[1] = f"www.site{shared_site}.com", "Shared site result"
-    return urls, titles
-
-
 @dataclass(eq=False, repr=False)
 class Vocabulary:
     """The generated topic universe, as flat columns.
@@ -199,18 +179,19 @@ class Vocabulary:
     @classmethod
     def build(cls, config: VocabularyConfig = VocabularyConfig()) -> "Vocabulary":
         n_nav = config.n_nav_topics
+        n_topics = n_nav + config.n_non_nav_topics
         rng = np.random.default_rng(config.seed)
         # The scalar draws, topic by topic.  Poisson, binomial and the
         # ziggurat normal consume a variable number of raw words, so
-        # batching them would change the stream.  ``snippets`` holds each
-        # result's N(500, 60) snippet size in result order, clipped to
-        # [300, 700] bytes below.
+        # batching them across topics would change the stream.  ``snippets``
+        # holds each result's N(500, 60) snippet size in result order, a
+        # topic's in one call, clipped to [300, 700] bytes below.
         n_aliases: List[int] = []
         n_results: List[int] = []
         shared_site: List[int] = [-1] * n_nav
         snippets: List[float] = []
         for rate in _alias_rates(n_nav, config.nav_alias_rate):
-            n_aliases.append(min(int(rng.poisson(rate)), len(_NAV_ALIAS_PATTERNS)))
+            n_aliases.append(min(int(rng.poisson(rate)), len(_NAV_QUERY_PREFIXES) - 1))
             snippets.append(rng.normal(500, 60))
             n_results.append(1)
             if rng.random() < config.nav_extra_result_p:
@@ -219,7 +200,7 @@ class Vocabulary:
                 snippets.append(rng.normal(500, 60))
                 n_results[-1] = 2
         for rate in _alias_rates(config.n_non_nav_topics, config.non_nav_alias_rate):
-            n_aliases.append(min(int(rng.poisson(rate)), len(_NON_NAV_ALIAS_PATTERNS)))
+            n_aliases.append(min(int(rng.poisson(rate)), len(_NON_NAV_QUERY_PREFIXES) - 1))
             n = 1 + int(rng.binomial(2, config.extra_result_p))
             site = -1
             if rng.random() < config.shared_result_p:
@@ -230,39 +211,55 @@ class Vocabulary:
                 n = max(n, 2)
             shared_site.append(site)
             n_results.append(n)
-            snippets.extend([rng.normal(500, 60) for _ in range(n)])
+            snippets += rng.normal(500, 60, n).tolist()
 
-        query_text: List[str] = []
-        result_url: List[str] = []
-        title_bytes: List[int] = []
-        for t, (n, site) in enumerate(zip(n_results, shared_site)):
-            query_text += _topic_queries(t, n_aliases[t], t < n_nav)
-            urls, titles = _topic_results(t, n, t < n_nav, site)
-            result_url += urls
-            title_bytes += map(len, titles)
-
+        # The text, a column at a time: each item is its kind's text around
+        # a topic id.  A query's kind is its position in its topic, counted
+        # on past the site prefixes in a non-navigational topic.
+        ids = list(map(str, range(n_topics)))
         topic_queries = 1 + np.asarray(n_aliases)
+        query_offsets, query_kind = ragged(topic_queries)
+        query_kind[query_offsets[n_nav] :] += len(_NAV_QUERY_PREFIXES)
+        query_topic = np.repeat(np.arange(n_topics), topic_queries)
+        prefixes = _NAV_QUERY_PREFIXES + _NON_NAV_QUERY_PREFIXES
+        query_text = [
+            prefixes[k] + ids[t] for k, t in zip(query_kind.tolist(), query_topic.tolist())
+        ]
+        query_navigational = np.zeros(len(query_text), dtype=bool)
+        query_navigational[query_offsets[:n_nav]] = True
+
         topic_results = np.asarray(n_results)
-        result_offsets = ragged(topic_results)[0]
-        first_url = [result_url[r] for r in result_offsets[:-1].tolist()]
-        query_topic = np.repeat(np.arange(len(n_results)), topic_queries).tolist()
+        result_offsets, result_kind = ragged(topic_results)
+        result_kind[result_offsets[n_nav] :] += 2  # past the site kinds
+        result_id = np.repeat(np.arange(n_topics), topic_results)
+        url_prefix, url_suffix, kind_title_bytes = zip(*_RESULT_KINDS)
+        title_bytes = np.array(kind_title_bytes, dtype=np.int64)[result_kind]
+        title_bytes += np.fromiter(map(len, ids), np.int64, n_topics)[result_id]
+        # A shared result, its topic's second, is the shared site's own.
+        sharing = np.flatnonzero(np.asarray(shared_site) >= 0)
+        shared = result_offsets[sharing] + 1
+        result_kind[shared] = 0
+        result_id[shared] = np.asarray(shared_site)[sharing]
+        title_bytes[shared] = len("Shared site result")
+        result_url = [
+            url_prefix[k] + ids[t] + url_suffix[k]
+            for k, t in zip(result_kind.tolist(), result_id.tolist())
+        ]
+
         nav_weight = _zipf_weights(n_nav, config.nav_zipf_s) * config.nav_volume_share
         non_nav_weight = _zipf_weights(
             config.n_non_nav_topics, config.non_nav_zipf_s
         ) * (1 - config.nav_volume_share)
         return cls(
             config=config,
-            topic_navigational=np.arange(len(n_results)) < n_nav,
+            topic_navigational=np.arange(n_topics) < n_nav,
             topic_weight=np.concatenate([nav_weight, non_nav_weight]),
-            query_offsets=ragged(topic_queries)[0],
+            query_offsets=query_offsets,
             query_text=query_text,
             query_share=_share_column(
                 topic_queries, lambda n: _query_shares(n, config.canonical_query_share)
             ),
-            query_navigational=np.array(
-                [is_navigational(q, first_url[t]) for q, t in zip(query_text, query_topic)],
-                dtype=bool,
-            ),
+            query_navigational=query_navigational,
             result_offsets=result_offsets,
             result_url=result_url,
             result_share=np.concatenate(
@@ -271,7 +268,7 @@ class Vocabulary:
                     _share_column(topic_results[n_nav:], _result_shares),
                 ]
             ),
-            result_record_bytes=np.asarray(title_bytes, dtype=np.int64)
+            result_record_bytes=title_bytes
             + 2 * np.fromiter(map(len, result_url), np.int64, len(result_url))
             + np.clip(snippets, 300, 700).astype(np.int64),
         )

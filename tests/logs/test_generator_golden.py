@@ -3,8 +3,9 @@
 Every downstream output (replay, serve, flight bundles) starts from
 ``generate_logs``, so its output is pinned column by column: the sha256 of
 each ``SearchLog`` column (dtype and bytes) and of the sorted unique
-(personal) names, for the small test log, ``default_log()`` and
-``desktop_log()``.  A change to the generator's arithmetic or to the order
+(personal) names, for the small test log, ``default_log()``,
+``desktop_log()`` and ``default_log`` at the benchmark's seed 1 and CI's
+seed 4099.  A change to the generator's arithmetic or to the order
 in which it consumes its random stream moves a digest.
 
 Regenerate the fixture only after an intended change to the logs::
@@ -12,7 +13,8 @@ Regenerate the fixture only after an intended change to the logs::
     PYTHONPATH=src python -m tests.logs.test_generator_golden
 
 Check the paper-scale two-month log (too slow for the suite) against its
-own fixture; the digests are printed, and a mismatch exits 1::
+own fixture; the digests are printed with the generation's wall time and
+the process's peak RSS, and a mismatch exits 1::
 
     PYTHONPATH=src python -m tests.logs.test_generator_golden --paper-scale
 """
@@ -21,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -76,6 +79,9 @@ LOGS = {
     "small": _small_log,
     "default_seed23": default_log,
     "desktop_seed29": desktop_log,
+    # The benchmark's seed and CI's.
+    "default_seed1": lambda: default_log(seed=1),
+    "default_seed4099": lambda: default_log(seed=4099),
 }
 
 
@@ -95,12 +101,25 @@ class TestGeneratorGolden:
     def test_desktop_log(self, golden):
         assert log_digests(desktop_log()) == golden["desktop_seed29"]
 
+    @pytest.mark.parametrize("seed", [1, 4099])
+    def test_benchmark_seed_logs(self, golden, seed):
+        assert log_digests(default_log(seed=seed)) == golden[f"default_seed{seed}"]
+
 
 def _check_paper_scale() -> int:
+    import resource
+
     from repro.experiments.scale import paper_scale_log
 
-    digests = log_digests(paper_scale_log(months=2))
+    start = time.perf_counter()
+    log = paper_scale_log(months=2)
+    wall_s = time.perf_counter() - start
+    digests = log_digests(log)
     print(json.dumps(digests, indent=2, sort_keys=True))
+    # ru_maxrss is in KiB on Linux.
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"generated {log.n_events} events in {wall_s:.2f} s; "
+          f"ru_maxrss {peak_mib:.1f} MiB")
     with open(PAPER_SCALE_FIXTURE) as fh:
         golden = json.load(fh)
     moved = sorted(k for k in golden.keys() | digests.keys()

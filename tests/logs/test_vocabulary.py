@@ -1,10 +1,13 @@
 """Tests for the synthetic query/result universe."""
 
+from typing import List, Tuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.logs.schema import is_navigational
-from repro.logs.vocabulary import Vocabulary, VocabularyConfig
+from repro.logs.vocabulary import Vocabulary, VocabularyConfig, _alias_rates
 
 
 class TestConfigValidation:
@@ -105,3 +108,149 @@ class TestStructure:
             if v.result_url[r] in nav_urls
         ]
         assert len(shared) > 0
+
+
+# -- the per-topic reference builder ------------------------------------------
+#
+# ``Vocabulary.build`` writes its text columns in one pass per column and
+# takes the navigational flag from the query's pattern.  The builder below
+# is the per-topic one it replaced: one scalar draw per call, each topic's
+# strings from its own format patterns, titles built for their length, and
+# the flag from the paper's substring test against the topic's first URL.
+
+_NAV_ALIAS_PATTERNS = (
+    "syte{t}", "sitee{t}", "cite{t}", "sit {t}", "zite{t}", "syt {t}", "cyte{t}"
+)
+_NON_NAV_ALIAS_PATTERNS = (
+    "topc {t}", "topik {t}", "tpc {t}", "topid {t}", "topi {t}", "tobic {t}"
+)
+
+
+def topic_queries(topic_id: int, n_aliases: int, navigational: bool) -> List[str]:
+    """A topic's canonical query, then its aliases."""
+    if navigational:
+        canonical, patterns = f"site{topic_id}", _NAV_ALIAS_PATTERNS
+    else:
+        canonical, patterns = f"topic {topic_id}", _NON_NAV_ALIAS_PATTERNS
+    return [canonical] + [p.format(t=topic_id) for p in patterns[:n_aliases]]
+
+
+def topic_results(
+    topic_id: int, n_results: int, navigational: bool, shared_site: int
+) -> Tuple[List[str], List[str]]:
+    """URLs and titles of a topic's results.
+
+    A site's second result is its secondary page; a non-navigational
+    topic's second result is site ``shared_site`` unless that is negative.
+    """
+    if navigational:
+        url = f"www.site{topic_id}.com"
+        urls = [url, f"{url}/login"]
+        titles = [f"Site {topic_id}", f"Site {topic_id} login"]
+        return urls[:n_results], titles[:n_results]
+    urls = [f"www.info{topic_id}.org/page{k}" for k in range(n_results)]
+    titles = [f"Topic {topic_id} page {k}" for k in range(n_results)]
+    if shared_site >= 0:
+        urls[1], titles[1] = f"www.site{shared_site}.com", "Shared site result"
+    return urls, titles
+
+
+def reference_columns(config: VocabularyConfig) -> dict:
+    """``query_text``, ``query_navigational``, ``result_url`` and
+    ``result_record_bytes`` as the per-topic builder makes them."""
+    n_nav = config.n_nav_topics
+    rng = np.random.default_rng(config.seed)
+    topics = []  # (n_aliases, n_results, shared site) per topic
+    snippets = []
+    for rate in _alias_rates(n_nav, config.nav_alias_rate):
+        n_aliases = min(int(rng.poisson(rate)), len(_NAV_ALIAS_PATTERNS))
+        snippets.append(rng.normal(500, 60))
+        n = 1
+        if rng.random() < config.nav_extra_result_p:
+            snippets.append(rng.normal(500, 60))
+            n = 2
+        topics.append((n_aliases, n, -1))
+    for rate in _alias_rates(config.n_non_nav_topics, config.non_nav_alias_rate):
+        n_aliases = min(int(rng.poisson(rate)), len(_NON_NAV_ALIAS_PATTERNS))
+        n = 1 + int(rng.binomial(2, config.extra_result_p))
+        site = -1
+        if rng.random() < config.shared_result_p:
+            site = min(int(rng.exponential(config.shared_result_scale)), n_nav - 1)
+            n = max(n, 2)
+        topics.append((n_aliases, n, site))
+        snippets.extend([rng.normal(500, 60) for _ in range(n)])
+
+    query_text, query_navigational, result_url, record_bytes = [], [], [], []
+    for t, (n_aliases, n, site) in enumerate(topics):
+        urls, titles = topic_results(t, n, t < n_nav, site)
+        for query in topic_queries(t, n_aliases, t < n_nav):
+            query_text.append(query)
+            query_navigational.append(is_navigational(query, urls[0]))
+        result_url += urls
+        record_bytes += [len(title) + 2 * len(url) for url, title in zip(urls, titles)]
+    return {
+        "query_text": query_text,
+        "query_navigational": np.array(query_navigational, dtype=bool),
+        "result_url": result_url,
+        "result_record_bytes": np.asarray(record_bytes, dtype=np.int64)
+        + np.clip(snippets, 300, 700).astype(np.int64),
+    }
+
+
+def assert_matches_reference(config: VocabularyConfig) -> None:
+    v = Vocabulary.build(config)
+    want = reference_columns(config)
+    assert v.query_text == want["query_text"]
+    assert v.result_url == want["result_url"]
+    for name in ("query_navigational", "result_record_bytes"):
+        got = getattr(v, name)
+        assert got.dtype == want[name].dtype, name
+        assert got.tobytes() == want[name].tobytes(), name
+
+
+#: Topic counts from 1 up, around the 9/10, 99/100 and 999/1000 digit
+#: boundaries of topic ids (and of shared-site ids, which are nav ids).
+topic_counts = st.one_of(
+    st.integers(1, 12), st.integers(90, 110), st.integers(990, 1010)
+)
+probabilities = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+
+
+class TestMatchesPerTopicBuilder:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n_nav=topic_counts,
+        n_non_nav=topic_counts,
+        nav_alias_rate=st.floats(0.0, 10.0),
+        non_nav_alias_rate=st.floats(0.0, 10.0),
+        extra_result_p=probabilities,
+        nav_extra_result_p=probabilities,
+        shared_result_p=probabilities,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_over_configs(
+        self,
+        n_nav,
+        n_non_nav,
+        nav_alias_rate,
+        non_nav_alias_rate,
+        extra_result_p,
+        nav_extra_result_p,
+        shared_result_p,
+        seed,
+    ):
+        assert_matches_reference(
+            VocabularyConfig(
+                n_nav_topics=n_nav,
+                n_non_nav_topics=n_non_nav,
+                nav_alias_rate=nav_alias_rate,
+                non_nav_alias_rate=non_nav_alias_rate,
+                extra_result_p=extra_result_p,
+                nav_extra_result_p=nav_extra_result_p,
+                shared_result_p=shared_result_p,
+                seed=seed,
+            )
+        )
+
+    def test_default_vocabulary(self):
+        assert_matches_reference(VocabularyConfig())
